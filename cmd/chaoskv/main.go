@@ -81,8 +81,6 @@ func run() int {
 	jsonOut := flag.String("json", "", "write (or with -append, merge) results as a machine-readable Report to this file")
 	appendTo := flag.Bool("append", false, "merge the tables into an existing -json report instead of overwriting it")
 	label := flag.String("label", "chaoskv", "label recorded in the -json report")
-	clockShards := flag.Int("clock-shards", 0, "version-clock shards for the deterministic phase (0/1 = single scalar clock)")
-	stripeShift := flag.Int("stripe-shift", 0, "metadata striping for the deterministic phase: one orec per 2^shift words")
 	adaptPinned := flag.Bool("adapt-pinned", false, "run the deterministic phase with the contention tuner enabled but pinned (sampling without acting)")
 	flag.Parse()
 
@@ -97,16 +95,15 @@ func run() int {
 
 	failures := 0
 
-	// Phase 1: deterministic replay, twice, fingerprints compared. The clock
-	// sharding and striping knobs are part of the pinned configuration: the
-	// phase must stay replayable at ANY setting (CI runs it both unsharded
-	// and sharded).
-	fp1, err := deterministicRun(*seed, *ops, *clockShards, *stripeShift, *adaptPinned)
+	// Phase 1: deterministic replay, twice, fingerprints compared. The
+	// pinned tuner is part of the configuration: the phase must stay
+	// replayable with and without it (CI runs it both ways).
+	fp1, err := deterministicRun(*seed, *ops, *adaptPinned)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaoskv: deterministic phase: %v\n", err)
 		return 1
 	}
-	fp2, err := deterministicRun(*seed, *ops, *clockShards, *stripeShift, *adaptPinned)
+	fp2, err := deterministicRun(*seed, *ops, *adaptPinned)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaoskv: deterministic phase (replay): %v\n", err)
 		return 1
@@ -233,7 +230,7 @@ type scanPage struct {
 // sampling goroutine ticks on real time (epoch counts vary run to run and
 // stay OUT of the fingerprint), but it never writes a knob, so every counter
 // that IS fingerprinted must be untouched by its presence.
-func deterministicRun(seed uint64, ops int, clockShards, stripeShift int, adaptPinned bool) (string, error) {
+func deterministicRun(seed uint64, ops int, adaptPinned bool) (string, error) {
 	plan := &htm.FaultPlan{
 		Seed:         seed,
 		BeginProb:    0.05,
@@ -250,8 +247,6 @@ func deterministicRun(seed uint64, ops int, clockShards, stripeShift int, adaptP
 		Slots:       1 << 10,
 		PoolThreads: 1,
 		MaxRetries:  4, // below MaxPerOp: unlucky ops engage the (injection-immune) fallback
-		ClockShards: clockShards,
-		StripeShift: stripeShift,
 		Faults:      plan,
 		Now:         func() int64 { tick++; return tick },
 	}
@@ -376,8 +371,8 @@ func deterministicRun(seed uint64, ops int, clockShards, stripeShift int, adaptP
 		adapt = 1
 	}
 	return fmt.Sprintf(
-		"determinism-key: seed=%d ops=%d shards=%d shift=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
-		seed, ops, store.Heap().ClockShards(), stripeShift, adapt, st.Starts, st.Commits, st.SpuriousAborts(),
+		"determinism-key: seed=%d ops=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
+		seed, ops, adapt, st.Starts, st.Commits, st.SpuriousAborts(),
 		st.Aborts[htm.AbortConflict], st.Aborts[htm.AbortCapacity],
 		st.FallbackRuns, st.FallbackStalls, fulls,
 		oc.Gets, oc.Puts, oc.Deletes, oc.Scans, modelHash), nil
@@ -419,7 +414,7 @@ func sweepClean(store *kv.Store, baseline uint64) error {
 	case ms.FallbackTagged != 0:
 		return fmt.Errorf("sweep: %d words still fallback-tagged at quiescence", ms.FallbackTagged)
 	case ms.StripeErrors != 0:
-		return fmt.Errorf("sweep: %d per-stripe invariant violations at quiescence", ms.StripeErrors)
+		return fmt.Errorf("sweep: %d block-header vs metadata disagreements at quiescence", ms.StripeErrors)
 	case ms.Allocated != st.LiveWords:
 		return fmt.Errorf("sweep: %d words allocated, accounting says %d live", ms.Allocated, st.LiveWords)
 	case st.LiveWords != baseline:

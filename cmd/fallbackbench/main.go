@@ -5,11 +5,9 @@
 // and on fully shared footprints. A second table measures what persistent
 // fallback traffic costs concurrently running hardware transactions — under
 // the global lock every hardware begin waits out every fallback critical
-// section; under the fine-grained fallback it never waits. Two further
-// tables cover the sharded version clock (disjoint commits across clock
-// shard counts) and the striped-metadata knob (neighbor-word throughput and
-// aliasing aborts across StripeShift values). The final table is the
-// adaptive-contention figure: the phase-shift workload (footprints alternate
+// section; under the fine-grained fallback it never waits. A third table
+// sweeps the FallbackSpins knob. The final table is the adaptive-contention
+// figure: the phase-shift workload (footprints alternate
 // between disjoint and fully shared mid-run) under both static fallback
 // configurations and the online Tuner, which should match the best static
 // choice in each phase.
@@ -74,15 +72,8 @@ func run() int {
 	}
 	spinsSweep := harness.FallbackSpinsSweep(cfg, spinsThreads, []int{0, 32, 128, 512})
 	fmt.Println(spinsSweep.Render())
-	// Sharded-clock and stripe-knob figures (PR 9): disjoint commits across
-	// clock shard counts, and the stripe aliasing tradeoff at a fixed thread
-	// count. shards=1 / shift=0 are the pre-sharding baselines.
-	clockScaling := harness.ClockScaling(cfg, tc, []int{1, 4, 16})
-	fmt.Println(clockScaling.Render())
-	stripeTable := harness.StripeConflictTable(cfg, spinsThreads, []int{0, 1, 2, 4})
-	fmt.Println(stripeTable.Render())
-	// Adaptive-contention figure (PR 10): phase-shift throughput at the same
-	// fixed thread count as the spins sweep.
+	// Adaptive-contention figure: phase-shift throughput at the same fixed
+	// thread count as the spins sweep.
 	adaptiveTable := harness.AdaptiveScaling(cfg, spinsThreads)
 	fmt.Println(adaptiveTable.Render())
 
@@ -102,8 +93,6 @@ func run() int {
 		rep.AddTable(scaling)
 		rep.AddTable(interference)
 		rep.AddTable(spinsSweep)
-		rep.AddTable(clockScaling)
-		rep.AddTable(stripeTable)
 		rep.AddTable(adaptiveTable)
 		if err := rep.WriteJSONFile(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "fallbackbench: write %s: %v\n", *jsonOut, err)

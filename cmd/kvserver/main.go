@@ -74,8 +74,6 @@ func run() int {
 	maxRetries := flag.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
 	adapt := flag.Bool("adapt", false, "self-tune fallback mode, spin budget and dedup threshold from live abort feedback")
 	adaptInterval := flag.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
-	clockShards := flag.Int("clock-shards", 0, "version-clock shards, rounded up to a power of two (0/1 = single scalar clock)")
-	stripeShift := flag.Int("stripe-shift", 0, "metadata striping: one orec per 2^shift heap words (0 = per-word)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := flag.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
 	faultAccess := flag.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
@@ -111,8 +109,6 @@ func run() int {
 		PoolThreads:    *pool,
 		GlobalFallback: *globalFallback,
 		MaxRetries:     *maxRetries,
-		ClockShards:    *clockShards,
-		StripeShift:    *stripeShift,
 		Faults:         plan,
 	}
 	if *adapt {

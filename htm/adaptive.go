@@ -2,26 +2,29 @@ package htm
 
 import "runtime"
 
-// Adaptive contention management: the runtime machinery armed by
-// Config.Adaptive. It promotes three construction-time decisions to runtime
-// ones, all safe to change under full concurrent load:
+// Runtime contention management. Three decisions are runtime words rather
+// than construction-time ones, all safe to change under full concurrent load;
+// Config.GlobalFallback, FallbackSpins and DedupBypass only seed them:
 //
-//   - The TLE fallback MODE (fine-grained lock-set vs. the global lock)
-//     becomes a word consulted at fallback entry (SetFallbackMode).
-//   - The FallbackSpins and DedupBypass knobs become atomic overrides that
-//     every transaction attempt re-reads at begin (SetFallbackSpins,
+//   - The TLE fallback MODE (fine-grained lock-set vs. the global lock) is a
+//     word consulted at fallback entry (SetFallbackMode).
+//   - The fallback spin bound and the read-set dedup threshold are atomic
+//     words every transaction attempt re-reads at begin (SetFallbackSpins,
 //     SetDedupBypass).
+//
+// A Tuner (Heap.StartTuner) drives all three from abort feedback; without
+// one they keep their seeded values.
 //
 // The hard problem is the mode switch: the global-lock fallback writes
 // memory IN PLACE and is correct only while it is mutually exclusive with
 // every hardware commit write-back and every fine-grained fallback run. A
-// construction-time mode makes that exclusion structural; a runtime mode
-// must enforce it against threads that may have read the old mode an
-// instant ago. Rather than a stop-the-world phase at switch time,
+// runtime mode must enforce that against threads that may have read the old
+// mode an instant ago. Rather than a stop-the-world phase at switch time,
 // SetFallbackMode is a plain store and the exclusion is decentralized into a
 // Dekker-style quiesce barrier at the three entry points, built from the
-// existing fallbackSeq epoch word plus two per-thread flag words in each
-// thread's statCell (inCommit, inFine):
+// fallbackSeq epoch word plus two per-thread flag words in each thread's
+// statCell (inCommit, inFine). The barrier is always armed — it is the one
+// global-fallback drain, whether the mode was seeded global or switched:
 //
 //   - A hardware attempt's begin waits until fallbackSeq is even (no global
 //     critical section in flight) and snapshots it; extend() and commit
@@ -40,16 +43,14 @@ import "runtime"
 //     and then waits until every registered cell shows inCommit==0 and
 //     inFine==0. Threads created after the scan snapshot self-exclude: they
 //     observe the odd seq at begin / fallback entry. Once the scan drains,
-//     no commit write-back and no fallback lock-set is live anywhere, which
-//     is exactly the exclusion the static GlobalFallback mode had.
+//     no commit write-back and no fallback lock-set is live anywhere.
 //
-// Termination and sandboxing are untouched: the fallback paths themselves
-// are the unmodified PR 9 code, the barrier only delays WHICH one runs, every
-// wait above is on a condition some running thread is guaranteed to clear in
-// bounded work (commit write-backs never block; fine runs hold locks only for
-// the body plus a bounded write-back; the global section is one body), and
-// with Adaptive unset none of this code executes. See DESIGN.md "Adaptive
-// contention management" for the full argument.
+// Termination and sandboxing are untouched: the barrier only delays WHICH
+// fallback path runs, and every wait above is on a condition some running
+// thread is guaranteed to clear in bounded work (commit write-backs never
+// block; fine runs hold locks only for the body plus a bounded write-back;
+// the global section is one body). See DESIGN.md "Adaptive contention
+// management" for the full argument.
 
 // FallbackMode identifies which TLE fallback path operations engage.
 type FallbackMode uint32
@@ -72,31 +73,14 @@ func (m FallbackMode) String() string {
 	}
 }
 
-// Adaptive reports whether the heap was built with Config.Adaptive.
-func (h *Heap) Adaptive() bool { return h.cfg.Adaptive }
-
-// FallbackMode returns the fallback mode operations currently engage: the
-// runtime mode word with Config.Adaptive, the configured static mode
-// otherwise.
-func (h *Heap) FallbackMode() FallbackMode {
-	if !h.cfg.Adaptive {
-		if h.cfg.GlobalFallback {
-			return ModeGlobal
-		}
-		return ModeFine
-	}
-	return FallbackMode(h.fbMode.Load())
-}
+// FallbackMode returns the fallback mode operations currently engage.
+func (h *Heap) FallbackMode() FallbackMode { return FallbackMode(h.fbMode.Load()) }
 
 // SetFallbackMode switches the TLE fallback mode at runtime. The switch is a
 // plain store: in-flight operations finish on the path they entered (the
 // quiesce barrier in runGlobalFallback keeps the two paths mutually
 // exclusive regardless), and subsequent fallback entries take the new mode.
-// Requires Config.Adaptive.
 func (h *Heap) SetFallbackMode(m FallbackMode) {
-	if !h.cfg.Adaptive {
-		panic("htm: SetFallbackMode requires Config.Adaptive")
-	}
 	if m != ModeFine && m != ModeGlobal {
 		panic("htm: SetFallbackMode: invalid mode")
 	}
@@ -109,48 +93,28 @@ func (h *Heap) SetFallbackMode(m FallbackMode) {
 // SetFallbackMode.
 func (h *Heap) ModeSwitches() uint64 { return h.modeSwitches.Load() }
 
-// FallbackSpins returns the effective out-of-order try-lock bound: the live
-// override with Config.Adaptive, the configured value otherwise.
-func (h *Heap) FallbackSpins() int {
-	if h.cfg.Adaptive {
-		return int(h.fbSpinsDyn.Load())
-	}
-	return h.cfg.fallbackSpins()
-}
+// FallbackSpins returns the effective out-of-order try-lock bound.
+func (h *Heap) FallbackSpins() int { return int(h.fbSpinsDyn.Load()) }
 
 // SetFallbackSpins overrides the FallbackSpins knob at runtime (clamped to
 // ≥ 0; 0 releases-and-retries immediately on any out-of-order collision).
-// Attempts pick the new value up at their next begin. Requires
-// Config.Adaptive.
+// Attempts pick the new value up at their next begin.
 func (h *Heap) SetFallbackSpins(v int) {
-	if !h.cfg.Adaptive {
-		panic("htm: SetFallbackSpins requires Config.Adaptive")
-	}
 	if v < 0 {
 		v = 0
 	}
 	h.fbSpinsDyn.Store(int64(v))
 }
 
-// DedupBypass returns the effective read-set dedup engagement threshold: the
-// live override with Config.Adaptive, the configured value otherwise.
-func (h *Heap) DedupBypass() int {
-	if h.cfg.Adaptive {
-		return int(h.dedupDyn.Load())
-	}
-	return h.cfg.dedupBypassThreshold()
-}
+// DedupBypass returns the effective read-set dedup engagement threshold.
+func (h *Heap) DedupBypass() int { return int(h.dedupDyn.Load()) }
 
 // SetDedupBypass overrides the DedupBypass knob at runtime. The value is
 // clamped exactly as the static knob resolves: never negative and never
 // above MaxReadSet/2, preserving the guarantee that a transaction whose
 // distinct read set fits MaxReadSet never aborts with AbortCapacity.
-// Attempts pick the new value up at their next begin. Requires
-// Config.Adaptive.
+// Attempts pick the new value up at their next begin.
 func (h *Heap) SetDedupBypass(v int) {
-	if !h.cfg.Adaptive {
-		panic("htm: SetDedupBypass requires Config.Adaptive")
-	}
 	if v < 0 {
 		v = 0
 	}
@@ -195,8 +159,8 @@ func (th *Thread) enterFineFallback() bool {
 	}
 }
 
-// quiesceForGlobal is the adaptive replacement for the static global
-// fallback's activeCommits wait: with fallbackSeq already odd, wait until no
+// quiesceForGlobal is the global fallback's drain: with fallbackSeq already
+// odd, wait until no
 // registered thread has a hardware commit write-back (inCommit) or a
 // fine-grained fallback run (inFine) in flight. Threads registered after the
 // snapshot self-exclude by observing the odd seq at begin / fallback entry,

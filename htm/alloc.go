@@ -68,20 +68,10 @@ type allocShard struct {
 type allocator struct {
 	h      *Heap
 	shards []allocShard
-
-	// stripeMask aligns carved blocks to metadata stripes when
-	// Config.StripeShift is set: a block's header+payload footprint is
-	// rounded up to whole stripes and starts on a stripe boundary, so no
-	// stripe is ever shared between two blocks (or a block and free space).
-	// That keeps the per-stripe allocated bit and version coherent — every
-	// stripe transition is owned by exactly one block's alloc/free. Zero
-	// without striping, making the carve arithmetic the identity.
-	stripeMask Addr
 }
 
 func (al *allocator) init(h *Heap) {
 	al.h = h
-	al.stripeMask = Addr(1)<<h.stripeShift - 1
 	n := 1
 	for n < runtime.NumCPU()*2 {
 		n <<= 1
@@ -101,18 +91,17 @@ func (al *allocator) init(h *Heap) {
 	al.shards[n-1].end = Addr(len(h.words))
 }
 
-// carve cuts a fresh block of size payload words from shard s's bump region
-// (mutex held by the caller), returning NilAddr when the region is exhausted.
-// With striping both the block's start and its footprint round up to stripe
-// boundaries; see stripeMask.
+// carve cuts a fresh block of size payload words (plus its header) from shard
+// s's bump region (mutex held by the caller), returning NilAddr when the
+// region is exhausted. Blocks are carved back to back, which is what lets
+// SweepMeta walk a region header by header.
 func (al *allocator) carve(s *allocShard, size int) Addr {
-	b := (s.bump + al.stripeMask) &^ al.stripeMask
-	need := (Addr(size+1) + al.stripeMask) &^ al.stripeMask
-	if b > s.end || s.end-b < need {
+	if s.end-s.bump < Addr(size+1) {
 		return NilAddr
 	}
-	s.bump = b + need
-	return b + 1
+	a := s.bump + 1
+	s.bump += Addr(size + 1)
+	return a
 }
 
 // refillMag moves up to magBatch free blocks of the given size class from
@@ -205,16 +194,13 @@ func (al *allocator) allocBigFrom(si, size int) Addr {
 // alloc returns a zeroed, allocated block of size words for th. It panics if
 // the arena is exhausted.
 //
-// One tick of the thread's home clock shard versions the whole block, and
-// each governing metadata word's free->allocated transition is a single CAS
-// (one per word by default, one per stripe with striping — a block owns whole
-// stripes, so every transition is exclusively this alloc's). The fresh
-// version (rather than reusing the stripe's last one) is what closes the
+// One clock tick versions the whole block, and each word's free->allocated
+// transition is a single CAS (the block is exclusively this alloc's). The
+// fresh version (rather than reusing the word's last one) is what closes the
 // reallocation window: any transaction that began before this tick and read
-// the block's previous life will see a tick above its rv entry for this shard
-// on its next access to the block, be forced to extend, and fail revalidation
-// on the word it read (whose metadata the free already rewrote — an equality
-// check, so it holds whatever shard the free ticked). The word values are
+// the block's previous life will see a version above its rv on its next
+// access to the block, be forced to extend, and fail revalidation on the word
+// it read (whose metadata the free already rewrote). The word values are
 // zeroed before the allocated bit is published, so no reader can observe
 // stale contents as live memory.
 func (al *allocator) alloc(th *Thread, size int) Addr {
@@ -224,21 +210,20 @@ func (al *allocator) alloc(th *Thread, size int) Addr {
 	a := al.allocRaw(th, size)
 	h := al.h
 	h.words[a-1].Store(uint64(size)<<1 | headerAllocBit)
-	wv := th.tickClock()
-	live := makeMeta(wv, true)
+	live := makeMeta(h.tick(), true)
 	words := h.words[a : a+Addr(size)]
 	for i := range words {
 		words[i].Store(0)
 	}
-	for si, hi := h.mi(a), h.mi(a+Addr(size)-1); si <= hi; si++ {
-		m := h.meta[si].Load()
+	for w := a; w < a+Addr(size); w++ {
+		m := h.meta[w].Load()
 		if m&(metaAllocBit|metaLockBit) != 0 {
-			panic(fmt.Sprintf("htm: allocator invariant violation: stripe of word %#x already allocated or locked", uint32(a)))
+			panic(fmt.Sprintf("htm: allocator invariant violation: word %#x already allocated or locked", uint32(w)))
 		}
-		if !h.meta[si].CompareAndSwap(m, live) {
-			// Free stripes are never locked and never written by anyone but
+		if !h.meta[w].CompareAndSwap(m, live) {
+			// Free words are never locked and never written by anyone but
 			// the allocator, which holds this block exclusively.
-			panic(fmt.Sprintf("htm: allocator invariant violation: free stripe of word %#x changed concurrently", uint32(a)))
+			panic(fmt.Sprintf("htm: allocator invariant violation: free word %#x changed concurrently", uint32(w)))
 		}
 	}
 	bump(&th.cell.allocCalls)
@@ -256,13 +241,11 @@ func (al *allocator) alloc(th *Thread, size int) Addr {
 }
 
 // free returns the block whose payload starts at a to th's magazine (or, for
-// oversized blocks, to th's home shard). Each governing metadata word's
-// allocated bit is cleared and its version bumped in ONE CAS — the version
-// bump IS the generation flip of the old two-array design — so any in-flight
-// transaction that read the block aborts at its next validation, and any
-// later transactional access aborts immediately (sandboxing). With striping
-// the block owns its stripes outright, so per-stripe transitions stay
-// exclusively this free's.
+// oversized blocks, to th's home shard). Each word's allocated bit is cleared
+// and its version bumped in ONE CAS — the version bump IS the generation flip
+// of the old two-array design — so any in-flight transaction that read the
+// block aborts at its next validation, and any later transactional access
+// aborts immediately (sandboxing).
 func (al *allocator) free(th *Thread, a Addr) {
 	h := al.h
 	if !h.valid(a) {
@@ -274,25 +257,23 @@ func (al *allocator) free(th *Thread, a Addr) {
 	}
 	size := int(hdr >> 1)
 	h.words[a-1].Store(uint64(size) << 1)
-	// One tick of th's home clock shard versions the whole block. Unlike the
-	// old flip-before-release dance, the tick may precede the per-stripe
-	// transitions: a transaction that began after the tick (rv admits wv) can
+	// One clock tick versions the whole block. Unlike the old
+	// flip-before-release dance, the tick may precede the per-word
+	// transitions: a transaction that began after the tick (rv admits it) can
 	// still read a not-yet-flipped word's pre-free value — that read is of
 	// then-live memory and linearizes before the free — but it can never pair
 	// it with post-reallocation state under one snapshot, because allocate
-	// stamps reused stripes with a version from a LATER tick of SOME shard
-	// that postdates every such reader's begin-scan of that shard, which
-	// forces an extension whose revalidation rereads the flipped metadata and
-	// aborts. A CAS that observes the lock bit (a commit's write-back, or an
-	// NT write) spins: commits never block on a held word, so this cannot
-	// deadlock.
-	wv := th.tickClock()
-	dead := makeMeta(wv, false)
-	for w, hi := h.mi(a), h.mi(a+Addr(size)-1); w <= hi; w++ {
+	// stamps reused words with a version from a LATER tick that postdates
+	// every such reader's begin, which forces an extension whose revalidation
+	// rereads the flipped metadata and aborts. A CAS that observes the lock
+	// bit (a commit's write-back, or an NT write) spins: commits never block
+	// on a held word, so this cannot deadlock.
+	dead := makeMeta(h.tick(), false)
+	for w := a; w < a+Addr(size); w++ {
 		for spins := 0; ; spins++ {
 			m := h.meta[w].Load()
 			if !metaAllocated(m) {
-				panic(fmt.Sprintf("htm: free of already-free stripe (block %#x)", uint32(a)))
+				panic(fmt.Sprintf("htm: free of already-free word %#x (block %#x)", uint32(w), uint32(a)))
 			}
 			if !metaLocked(m) && h.meta[w].CompareAndSwap(m, dead) {
 				break

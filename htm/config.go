@@ -12,16 +12,6 @@ const (
 	defaultMaxReadSet = 1 << 16
 )
 
-// MaxClockShards caps Config.ClockShards. 256 shards spend 8 bits of the
-// 61-bit version field on the shard ID, leaving 53 bits of per-shard tick —
-// still unreachable within any simulated run.
-const MaxClockShards = 256
-
-// MaxStripeShift caps Config.StripeShift: 2^8 = 256-word stripes. Beyond that
-// the allocator's stripe alignment wastes more arena than any conflict-rate
-// saving is worth.
-const MaxStripeShift = 8
-
 // FallbackOwnerBits is the width of the owner thread ID recorded in a word's
 // metadata while the fine-grained TLE fallback holds its lock. The merged
 // metadata word spends bit 0 on the lock, bit 1 on the allocated flag and the
@@ -54,15 +44,10 @@ type Config struct {
 	// Set to a negative value for an unbounded read set.
 	MaxReadSet int
 
-	// Sandboxed selects Rock-style sandboxing: a transaction that
-	// dereferences freed or nil memory aborts with AbortIllegal. When false,
-	// such an access panics, modeling a segmentation fault on HTM designs
-	// without sandboxing. Defaults to true (NewHeap flips the internal
-	// representation so the zero Config is sandboxed).
-	Sandboxed bool
-
-	// NoSandbox disables sandboxing. Provided so that the zero Config is
-	// Rock-like; use this instead of Sandboxed=false.
+	// NoSandbox disables Rock-style sandboxing. Sandboxed (the default), a
+	// transaction that dereferences freed or nil memory aborts with
+	// AbortIllegal; with NoSandbox such an access panics, modeling a
+	// segmentation fault on HTM designs without sandboxing.
 	NoSandbox bool
 
 	// AllowAllocInTxn permits Txn.Alloc and Txn.Free. Rock could not run the
@@ -86,25 +71,26 @@ type Config struct {
 	// fallback lock.
 	EnableTLE bool
 
-	// GlobalFallback selects the §6 global-lock fallback the paper describes
-	// (and this repository shipped through PR 4): the fallback operation
-	// takes one process-wide lock, every hardware transaction waits out the
-	// critical section at begin and validates the lock's sequence number at
-	// commit. It serializes all fallback operations and stalls all hardware
-	// commits for the duration, but is the faithful Rock-era baseline; keep
-	// it available for comparison benchmarks. Only meaningful with EnableTLE.
+	// GlobalFallback makes the §6 global-lock fallback the paper describes
+	// the INITIAL fallback mode: the fallback operation takes one
+	// process-wide lock, every hardware transaction waits out the critical
+	// section at begin and validates the lock's sequence number at commit.
+	// It serializes all fallback operations and stalls all hardware commits
+	// for the duration, but is the faithful Rock-era baseline. The mode is a
+	// runtime word either way (Heap.SetFallbackMode, see DESIGN.md "Adaptive
+	// contention management"). Only meaningful with EnableTLE.
 	GlobalFallback bool
 
-	// DedupBypass caps how many (possibly duplicated) read entries a
-	// transaction attempt may append before read-set deduplication engages
-	// (see Txn's dedup field). Larger values keep repeat-heavy transactions
-	// on the zero-bookkeeping bypass path longer at the cost of more
-	// duplicate entries to compact; smaller values engage the 512-bit filter
-	// earlier. 0 selects the default (4096); negative engages dedup from the
-	// first read (the PR 3 behaviour). Whatever the value, the effective
-	// threshold never exceeds MaxReadSet/2, which is what preserves the
-	// guarantee that a transaction whose distinct read set fits MaxReadSet
-	// never aborts with AbortCapacity.
+	// DedupBypass seeds the runtime read-set dedup threshold
+	// (Heap.SetDedupBypass overrides it): how many (possibly duplicated) read
+	// entries a transaction attempt may append before read-set deduplication
+	// engages (see Txn's dedup field). Larger values keep repeat-heavy
+	// transactions on the zero-bookkeeping bypass path longer at the cost of
+	// more duplicate entries to compact; smaller values engage the 512-bit
+	// filter earlier. 0 selects the default (4096); negative engages dedup from
+	// the first read. Whatever the value, the effective threshold never exceeds
+	// MaxReadSet/2, which is what preserves the guarantee that a transaction
+	// whose distinct read set fits MaxReadSet never aborts with AbortCapacity.
 	DedupBypass int
 
 	// NoMaxLive disables exact high-water tracking, removing the last
@@ -116,48 +102,16 @@ type Config struct {
 	// this; space-measured runs must leave it unset.
 	NoMaxLive bool
 
-	// ClockShards is the number of independent version-clock shards (see
-	// DESIGN.md "Sharded clock & striped metadata"). Each committing writer
-	// ticks only its thread's home shard (cache-line padded), so disjoint
-	// commits stop serializing on one clock word; readers validate against a
-	// per-shard snapshot taken at begin. 0 or 1 selects the single global
-	// clock, whose semantics and version encoding are bit-for-bit those of the
-	// pre-shard engine. Values are rounded up to a power of two and capped at
-	// MaxClockShards.
-	ClockShards int
-
-	// StripeShift makes one metadata word govern a 2^StripeShift-word stripe
-	// instead of a single word: a commit acquires one CAS per touched stripe,
-	// the fine-grained fallback locks stripes, and alloc/free version whole
-	// stripes. Distinct words in one stripe conflict falsely (counted by
-	// Stats.StripeConflicts); the allocator stripe-aligns blocks so no stripe
-	// is ever shared between blocks, which preserves the per-word liveness
-	// sandbox at block granularity (words in a live block's alignment slack
-	// read as live zeros instead of faulting). 0 — the default — is the exact
-	// pre-stripe per-word engine. Capped at MaxStripeShift.
-	StripeShift int
-
-	// FallbackSpins bounds how long the fine-grained TLE fallback spins on a
-	// locked word it reached OUT OF ADDRESS ORDER before engaging the
-	// deadlock-avoidance release-and-retry protocol (drop the whole lock-set,
-	// re-run the body). In-order acquisitions spin indefinitely — they cannot
-	// deadlock. 0 selects the default (128, see defaultFallbackSpins);
-	// negative releases-and-retries immediately on any out-of-order collision
-	// (maximally paranoid, maximally re-execution-happy). Only meaningful with
-	// EnableTLE and not GlobalFallback.
+	// FallbackSpins seeds the runtime out-of-order spin bound
+	// (Heap.SetFallbackSpins overrides it): how long the fine-grained TLE
+	// fallback spins on a locked word it reached OUT OF ADDRESS ORDER before
+	// engaging the deadlock-avoidance release-and-retry protocol (drop the
+	// whole lock-set, re-run the body). In-order acquisitions spin
+	// indefinitely — they cannot deadlock. 0 selects the default (128, see
+	// defaultFallbackSpins); negative releases-and-retries immediately on any
+	// out-of-order collision (maximally paranoid, maximally
+	// re-execution-happy). Only meaningful with EnableTLE.
 	FallbackSpins int
-
-	// Adaptive arms the heap's online contention-management machinery (see
-	// DESIGN.md "Adaptive contention management"): the fallback mode becomes a
-	// runtime word switchable with Heap.SetFallbackMode (GlobalFallback then
-	// only selects the INITIAL mode), and FallbackSpins / DedupBypass become
-	// atomic overrides writable with Heap.SetFallbackSpins / SetDedupBypass —
-	// typically driven by a Tuner (Heap.StartTuner). Arming costs the hot path
-	// a few uncontended per-thread atomics (a begin-time knob refresh and a
-	// commit-time epoch marker); when false — the default — none of the
-	// dynamic code runs and behavior is bit-for-bit that of the static
-	// configuration.
-	Adaptive bool
 
 	// Faults attaches a seeded fault-injection plan (see FaultPlan). nil — the
 	// default — injects nothing and costs one pointer check per transactional
@@ -174,6 +128,10 @@ type Config struct {
 	// conflict/abort gradient the paper sweeps is reproduced. Benchmarks set
 	// this; unit tests of engine semantics leave it 0.
 	YieldEvery int
+
+	// sandboxed is the derived internal form of !NoSandbox, set by
+	// withDefaults so the zero Config is Rock-like.
+	sandboxed bool
 
 	// trackMaxLive is the derived internal form of !NoMaxLive: exact
 	// LiveWords/MaxLiveWords maintenance on the alloc/free path (a globally
@@ -196,22 +154,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = defaultMaxRetries
 	}
-	if c.ClockShards < 1 {
-		c.ClockShards = 1
-	}
-	if c.ClockShards > MaxClockShards {
-		c.ClockShards = MaxClockShards
-	}
-	for c.ClockShards&(c.ClockShards-1) != 0 {
-		c.ClockShards++ // round up to a power of two
-	}
-	if c.StripeShift < 0 {
-		c.StripeShift = 0
-	}
-	if c.StripeShift > MaxStripeShift {
-		c.StripeShift = MaxStripeShift
-	}
-	c.Sandboxed = !c.NoSandbox
+	c.sandboxed = !c.NoSandbox
 	c.trackMaxLive = !c.NoMaxLive
 	return c
 }

@@ -7,41 +7,33 @@ import (
 	"sync/atomic"
 )
 
-// Metadata encoding. Each metadata word governs one heap word (the default)
-// or one 2^StripeShift-word stripe, and fuses the versioned ownership record
-// (orec) with the allocation state that used to live in a separate generation
-// array:
+// Metadata encoding. Each heap word has one metadata word, which fuses the
+// versioned ownership record (orec) with the allocation state that used to
+// live in a separate generation array:
 //
 //	bit 0     lock bit (held during commit write-back and NT writes)
 //	bit 1     allocated bit (set while the word belongs to a live block)
-//	bits 2-63 version: (per-shard tick << shardBits) | shard ID
+//	bits 2-63 version: the global clock tick of the word's last transition
 //
 // Folding both cells into one atomic word makes every transactional load's
 // entire validation predicate — unlocked, allocated, version ≤ rv — a single
 // atomic read whose three fields are mutually consistent by construction, and
-// makes every allocate/free transition a single CAS per metadata word.
+// makes every allocate/free transition a single CAS per word. Invariants:
 //
-// The version field is shard-relative (Config.ClockShards): the heap keeps one
-// padded clock word per shard, a writer ticks exactly one shard, and the
-// encoded version carries the shard ID in its low bits so a validator can
-// compare the tick against the right entry of its per-shard snapshot. With
-// ClockShards=1 (the default) shardBits is zero and the encoding degenerates
-// to the plain global-clock version of the pre-shard engine. Invariants:
-//
-//   - Only live stripes are ever locked (all lock paths check the allocated
-//     bit in the same word they CAS), so free stripes are always unlocked and
-//     the allocator can transition them without a lock handshake.
-//   - Every transition writes a fresh version drawn from SOME shard's clock:
-//     commit write-back, NT writes, free, AND allocate. Writers that hold the
+//   - Only live words are ever locked (all lock paths check the allocated bit
+//     in the same word they CAS), so free words are always unlocked and the
+//     allocator can transition them without a lock handshake.
+//   - Every transition writes a fresh version drawn from the clock: commit
+//     write-back, NT writes, free, AND allocate. Writers that hold the
 //     affected metadata locks (commits, NT ops, the fallback) tick after
-//     acquiring them; alloc/free own their block exclusively. Versions within
-//     one shard are strictly monotonic and a (tick, shard) pair can never
-//     recur, which is what keeps recorded metadata words unrepeatable. The
-//     version bump on free is the generation flip of the old design; the bump
-//     on allocate is what forces any transaction that read the block's
-//     previous life to revalidate (and fail) before it can observe the new
-//     one. See DESIGN.md "Per-word metadata" and "Sharded clock & striped
-//     metadata" for the sandbox and linearization arguments.
+//     acquiring them; alloc/free own their block exclusively. Versions are
+//     strictly monotonic, which is what keeps recorded metadata words
+//     unrepeatable. The version bump on free is the generation flip of the
+//     old design; the bump on allocate is what forces any transaction that
+//     read the block's previous life to revalidate (and fail) before it can
+//     observe the new one. See DESIGN.md "Per-word metadata" for the sandbox
+//     and linearization arguments, and "Why one clock" for why the clock is
+//     a single word.
 const (
 	metaLockBit  uint64 = 1 << 0
 	metaAllocBit uint64 = 1 << 1
@@ -53,11 +45,9 @@ const (
 	// is preserved in the owner's lock-set and the release writes either that
 	// word back (read-locked) or a fresh version (written), so no version
 	// information is lost and version monotonicity is preserved. The tag sits
-	// in the version field's top bit: each clock shard ticks once per
-	// committed write/alloc/free transition and the shard ID occupies at most
-	// 8 low bits, so a real encoded version can never reach 2^61. The tag
-	// lets a contending fallback distinguish a long-held
-	// fallback lock (apply the deadlock-avoidance protocol) from a commit
+	// in the version field's top bit: the clock ticks once per committed
+	// write/alloc/free transition, so a real version can never reach 2^61.
+	// The tag lets a contending fallback distinguish a long-held fallback lock (apply the deadlock-avoidance protocol) from a commit
 	// write-back (always short: commits never wait while holding locks, so
 	// spinning is safe), and makes the owner readable in a debugger.
 	metaFBTagBit uint64 = 1 << 63
@@ -93,14 +83,6 @@ func makeMeta(version uint64, allocated bool) uint64 {
 	return m
 }
 
-// clockLine is one version-clock shard, padded to a full cache line so that
-// commits homed on different shards never contend on adjacent clock words —
-// the whole point of sharding the clock.
-type clockLine struct {
-	v atomic.Uint64
-	_ [7]uint64
-}
-
 // Heap is a simulated word-addressable memory with a built-in allocator and a
 // transactional engine. All concurrent access — transactional or not — must
 // go through its methods; a Heap is safe for use by multiple goroutines.
@@ -108,39 +90,36 @@ type Heap struct {
 	cfg Config
 
 	words []atomic.Uint64 // word values
-	meta  []atomic.Uint64 // per-stripe metadata: lock | allocated | version
+	meta  []atomic.Uint64 // per-word metadata: lock | allocated | version
 
-	// Sharded version clock (Config.ClockShards). Every writer ticks exactly
-	// one shard — its thread's home shard, or an address-hashed shard for the
-	// threadless NT operations — and encodes the shard ID into the versions
-	// it publishes. shardBits/shardMask decode that encoding; both are zero
-	// with one shard, collapsing the scheme to the single global clock.
-	clock       []clockLine
-	shardBits   uint
-	shardMask   uint64
-	stripeShift uint // log2 words per metadata stripe (Config.StripeShift)
+	// clock is the global version clock, alone on its cache line: every
+	// write commit, alloc and free ticks it, and the read-mostly words beside
+	// it (read at every begin) must not share that line.
+	_     [64]byte
+	clock atomic.Uint64
+	_     [56]byte
 
-	// Global TLE fallback lock, used only with Config.GlobalFallback (the
-	// PR-4-era compatibility mode): fallbackSeq is even when free and odd
-	// while held; transactions snapshot it at begin and validate it at
-	// commit. activeCommits counts write transactions currently in their
-	// commit write-back, so a fallback acquirer can wait them out. The
-	// default fine-grained fallback acquires per-word metadata locks instead
-	// (see thread.go) and never touches these fields, so hardware-path
-	// transactions never wait at begin.
-	fallbackSeq   atomic.Uint64
-	fallbackMu    sync.Mutex
-	activeCommits atomic.Uint64
+	// Global TLE fallback lock (ModeGlobal; see adaptive.go): fallbackSeq is
+	// even when free and odd while held; transactions snapshot it at begin
+	// and validate it at extension and commit. The fine-grained fallback
+	// acquires per-word metadata locks instead (see thread.go) and leaves the
+	// sequence even, so in fine mode a begin never waits.
+	fallbackSeq atomic.Uint64
+	fallbackMu  sync.Mutex
 
-	// Adaptive contention management (Config.Adaptive; see adaptive.go).
-	// fbMode is the runtime fallback mode consulted at fallback entry;
-	// fbSpinsDyn / dedupDyn are the tuned-knob overrides threads refresh at
-	// begin; modeSwitches counts applied mode changes. All four are untouched
-	// (and the fields below them unused) when !Adaptive.
+	// Runtime contention-management words (see adaptive.go). fbMode is the
+	// fallback mode consulted at fallback entry; fbSpinsDyn / dedupDyn are
+	// the knob values threads refresh at begin; modeSwitches counts applied
+	// mode changes. Config.GlobalFallback, FallbackSpins and DedupBypass only
+	// seed them.
 	fbMode       atomic.Uint32
 	fbSpinsDyn   atomic.Int64
 	dedupDyn     atomic.Int64
 	modeSwitches atomic.Uint64
+
+	// Keeps the allocator's shared live counters (stats) off the cache line
+	// of the words every begin reads.
+	_ [64]byte
 
 	alloc   allocator
 	stats   stats
@@ -159,51 +138,26 @@ type Heap struct {
 // Rock-like defaults).
 func NewHeap(cfg Config) *Heap {
 	cfg = cfg.withDefaults()
-	shift := uint(cfg.StripeShift)
 	h := &Heap{
-		cfg:         cfg,
-		words:       make([]atomic.Uint64, cfg.Words),
-		meta:        make([]atomic.Uint64, (cfg.Words+(1<<shift)-1)>>shift),
-		clock:       make([]clockLine, cfg.ClockShards),
-		shardMask:   uint64(cfg.ClockShards - 1),
-		stripeShift: shift,
-	}
-	for n := cfg.ClockShards; n > 1; n >>= 1 {
-		h.shardBits++
+		cfg:   cfg,
+		words: make([]atomic.Uint64, cfg.Words),
+		meta:  make([]atomic.Uint64, cfg.Words),
 	}
 	h.ntYieldThresh = yieldThreshold(cfg.YieldEvery)
-	if cfg.Adaptive {
-		if cfg.GlobalFallback {
-			h.fbMode.Store(uint32(ModeGlobal))
-		}
-		h.fbSpinsDyn.Store(int64(cfg.fallbackSpins()))
-		h.dedupDyn.Store(int64(cfg.dedupBypassThreshold()))
+	if cfg.GlobalFallback {
+		h.fbMode.Store(uint32(ModeGlobal))
 	}
+	h.fbSpinsDyn.Store(int64(cfg.fallbackSpins()))
+	h.dedupDyn.Store(int64(cfg.dedupBypassThreshold()))
 	h.alloc.init(h)
 	return h
 }
 
-// mi maps a word address to the index of its governing metadata word: the
-// identity with per-word metadata, the stripe index with Config.StripeShift.
-func (h *Heap) mi(a Addr) int { return int(a) >> h.stripeShift }
-
-// tickShard advances shard s of the version clock and returns the new tick
-// encoded as a version (tick<<shardBits | s). Callers must already exclude
-// every concurrent writer of the metadata words the version will be stored to
-// (by holding their locks, or — for alloc/free — by owning the block).
-func (h *Heap) tickShard(s int) uint64 {
-	return h.clock[s].v.Add(1)<<h.shardBits | uint64(s)
-}
-
-// ntShard picks the clock shard ticked by a non-transactional write to a.
-// NT operations have no Thread and hence no home shard; any shard is correct
-// (the encoded version always names the shard that was ticked), so hash the
-// address to spread unrelated NT traffic across shards.
-func (h *Heap) ntShard(a Addr) int { return int(uint64(a) & h.shardMask) }
-
-// versionTick and versionShard decode an encoded version.
-func (h *Heap) versionTick(v uint64) uint64 { return v >> h.shardBits }
-func (h *Heap) versionShard(v uint64) int   { return int(v & h.shardMask) }
+// tick advances the version clock and returns the new version. Callers must
+// already exclude every concurrent writer of the metadata words the version
+// will be stored to (by holding their locks, or — for alloc/free — by owning
+// the block).
+func (h *Heap) tick() uint64 { return h.clock.Add(1) }
 
 // Config returns the effective configuration of the heap.
 func (h *Heap) Config() Config { return h.cfg }
@@ -215,7 +169,7 @@ func (h *Heap) valid(a Addr) bool {
 
 // allocated reports whether the word at a is currently allocated.
 func (h *Heap) allocated(a Addr) bool {
-	return h.valid(a) && metaAllocated(h.meta[h.mi(a)].Load())
+	return h.valid(a) && metaAllocated(h.meta[a].Load())
 }
 
 // yieldThreshold converts Config.YieldEvery into the compare threshold used
@@ -255,7 +209,7 @@ func ntFreedPanic(a Addr, op string) {
 	panic(fmt.Sprintf("htm: non-transactional %s of freed word %#x (simulated segmentation fault)", op, uint32(a)))
 }
 
-// lockMeta spin-acquires the metadata word governing a and returns the
+// lockMeta spin-acquires the metadata word of a and returns the
 // pre-acquisition value. The allocated check rides in the same CAS'd word, so
 // lock acquisition and the liveness check are one atomic step; it panics on
 // freed words (simulated segmentation fault: correct non-transactional code
@@ -264,13 +218,12 @@ func ntFreedPanic(a Addr, op string) {
 // descheduled mid-operation), so the loop yields periodically instead of
 // burning the core.
 func (h *Heap) lockMeta(a Addr, op string) uint64 {
-	mi := h.mi(a)
 	for spins := 0; ; spins++ {
-		m := h.meta[mi].Load()
+		m := h.meta[a].Load()
 		if !metaAllocated(m) {
 			ntFreedPanic(a, op)
 		}
-		if !metaLocked(m) && h.meta[mi].CompareAndSwap(m, m|metaLockBit) {
+		if !metaLocked(m) && h.meta[a].CompareAndSwap(m, m|metaLockBit) {
 			return m
 		}
 		if spins&63 == 63 {
@@ -279,16 +232,15 @@ func (h *Heap) lockMeta(a Addr, op string) uint64 {
 	}
 }
 
-// releaseMeta publishes a new version for a previously locked live metadata
-// word (indexed by metadata index, not word address).
-func (h *Heap) releaseMeta(mi int, version uint64) {
-	h.meta[mi].Store(makeMeta(version, true))
+// releaseMeta publishes a new version for the previously locked live word a.
+func (h *Heap) releaseMeta(a Addr, version uint64) {
+	h.meta[a].Store(makeMeta(version, true))
 }
 
-// releaseMetaUnchanged unlocks a metadata word without changing its version,
-// used when a locked stripe was not actually modified.
-func (h *Heap) releaseMetaUnchanged(mi int, prev uint64) {
-	h.meta[mi].Store(prev)
+// releaseMetaUnchanged unlocks the word a without changing its version, used
+// when a locked word was not actually modified.
+func (h *Heap) releaseMetaUnchanged(a Addr, prev uint64) {
+	h.meta[a].Store(prev)
 }
 
 // LoadNT performs a non-transactional (strongly atomic) load of the word at
@@ -297,9 +249,8 @@ func (h *Heap) releaseMetaUnchanged(mi int, prev uint64) {
 func (h *Heap) LoadNT(a Addr) uint64 {
 	h.maybeYieldNT()
 	h.checkNTAddr(a, "load")
-	mi := h.mi(a)
 	for spins := 0; ; spins++ {
-		m1 := h.meta[mi].Load()
+		m1 := h.meta[a].Load()
 		if metaLocked(m1) {
 			if spins&63 == 63 {
 				runtime.Gosched()
@@ -310,7 +261,7 @@ func (h *Heap) LoadNT(a Addr) uint64 {
 			ntFreedPanic(a, "load")
 		}
 		v := h.words[a].Load()
-		if h.meta[mi].Load() == m1 {
+		if h.meta[a].Load() == m1 {
 			return v
 		}
 	}
@@ -324,8 +275,7 @@ func (h *Heap) StoreNT(a Addr, v uint64) {
 	h.checkNTAddr(a, "store")
 	h.lockMeta(a, "store")
 	h.words[a].Store(v)
-	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(a, h.tick())
 }
 
 // CASNT performs a non-transactional compare-and-swap on the word at a,
@@ -336,12 +286,11 @@ func (h *Heap) CASNT(a Addr, old, new uint64) bool {
 	h.checkNTAddr(a, "cas")
 	prev := h.lockMeta(a, "cas")
 	if h.words[a].Load() != old {
-		h.releaseMetaUnchanged(h.mi(a), prev)
+		h.releaseMetaUnchanged(a, prev)
 		return false
 	}
 	h.words[a].Store(new)
-	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(a, h.tick())
 	return true
 }
 
@@ -353,30 +302,10 @@ func (h *Heap) AddNT(a Addr, delta uint64) uint64 {
 	h.lockMeta(a, "add")
 	v := h.words[a].Load() + delta
 	h.words[a].Store(v)
-	wv := h.tickShard(h.ntShard(a))
-	h.releaseMeta(h.mi(a), wv)
+	h.releaseMeta(a, h.tick())
 	return v
 }
 
-// ClockNow returns the total number of version-clock ticks across all shards.
-// With ClockShards=1 this is exactly the pre-shard global clock value; with
-// more shards it is a census, not a version — versions are shard-relative and
-// only per-shard ticks (ClockShardNow) are comparable. It is exported for
-// tests and diagnostics.
-func (h *Heap) ClockNow() uint64 {
-	var sum uint64
-	for i := range h.clock {
-		sum += h.clock[i].v.Load()
-	}
-	return sum
-}
-
-// ClockShards returns the effective number of version-clock shards.
-func (h *Heap) ClockShards() int { return len(h.clock) }
-
-// ClockShardNow returns the current tick of clock shard s.
-func (h *Heap) ClockShardNow(s int) uint64 { return h.clock[s].v.Load() }
-
-// StripeWords returns the number of heap words governed by one metadata word
-// (1 unless Config.StripeShift is set).
-func (h *Heap) StripeWords() int { return 1 << h.stripeShift }
+// ClockNow returns the current value of the global version clock. It is
+// exported for tests and diagnostics.
+func (h *Heap) ClockNow() uint64 { return h.clock.Load() }

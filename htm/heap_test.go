@@ -22,8 +22,11 @@ func TestNewHeapDefaults(t *testing.T) {
 	if cfg.StoreBufferSize != RockStoreBufferSize {
 		t.Errorf("StoreBufferSize = %d, want %d", cfg.StoreBufferSize, RockStoreBufferSize)
 	}
-	if !cfg.Sandboxed {
+	if !cfg.sandboxed {
 		t.Error("default config must be sandboxed")
+	}
+	if NewHeap(Config{Words: 1 << 10, NoSandbox: true}).Config().sandboxed {
+		t.Error("NoSandbox must disable sandboxing")
 	}
 	if cfg.MaxRetries != defaultMaxRetries {
 		t.Errorf("MaxRetries = %d, want %d", cfg.MaxRetries, defaultMaxRetries)

@@ -64,8 +64,7 @@ func TestDedupBypassThreshold(t *testing.T) {
 	}
 	for _, c := range cases {
 		h := NewHeap(Config{Words: 1 << 10, DedupBypass: c.knob, MaxReadSet: c.maxReadSet})
-		th := h.NewThread()
-		if got := th.txn.dedupAfter; got != c.want {
+		if got := h.DedupBypass(); got != c.want {
 			t.Errorf("DedupBypass=%d MaxReadSet=%d: dedupAfter = %d, want %d",
 				c.knob, c.maxReadSet, got, c.want)
 		}

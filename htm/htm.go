@@ -68,7 +68,7 @@ const (
 	AbortExplicit
 	// AbortFallback indicates the transaction observed the global TLE
 	// fallback lock held (or acquired during its execution) and must wait.
-	// Produced only in Config.GlobalFallback compatibility mode: the default
+	// Produced only while the fallback mode is ModeGlobal: the default
 	// fine-grained fallback holds per-word metadata locks, so a transaction
 	// that collides with it aborts with AbortConflict on the contended word,
 	// and transactions on disjoint words are unaffected.

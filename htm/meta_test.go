@@ -2,7 +2,6 @@ package htm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -35,92 +34,116 @@ func TestMetaEncodingRoundTrip(t *testing.T) {
 }
 
 // TestAllocFreeSingleTickPerTransition pins the merged design's clock
-// discipline, shard-relatively: allocate and free each tick the owning
-// thread's home clock shard exactly once per block (one fresh version stamps
-// every word of the transition), not once per word — and no other shard
-// moves.
+// discipline: allocate and free each tick the version clock exactly once per
+// block (one fresh version stamps every word of the transition), not once
+// per word.
 func TestAllocFreeSingleTickPerTransition(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
-			th := h.NewThread()
-			a := th.Alloc(8)
-			before := h.ClockNow()
-			home := th.ClockShard()
-			homeBefore := h.ClockShardNow(home)
-			th.Free(a)
-			if got := h.ClockNow(); got != before+1 {
-				t.Errorf("free of 8-word block ticked clocks %d times, want 1", got-before)
-			}
-			if got := h.ClockShardNow(home); got != homeBefore+1 {
-				t.Errorf("free ticked home shard %d times, want 1", got-homeBefore)
-			}
-			b := th.Alloc(8)
-			if got := h.ClockNow(); got != before+2 {
-				t.Errorf("alloc of 8-word block ticked clocks %d times, want 1", got-before-1)
-			}
-			if got := h.ClockShardNow(home); got != homeBefore+2 {
-				t.Errorf("alloc ticked home shard %d times, want 1", got-homeBefore-1)
-			}
-			if b != a {
-				t.Logf("allocator did not recycle (%#x -> %#x); tick counts still checked", uint32(a), uint32(b))
-			}
-		})
-	}
+	t.Run(oneClock, func(t *testing.T) {
+		h := newTestHeap(t, Config{})
+		th := h.NewThread()
+		a := th.Alloc(8)
+		before := h.ClockNow()
+		th.Free(a)
+		if got := h.ClockNow(); got != before+1 {
+			t.Errorf("free of 8-word block ticked the clock %d times, want 1", got-before)
+		}
+		b := th.Alloc(8)
+		if got := h.ClockNow(); got != before+2 {
+			t.Errorf("alloc of 8-word block ticked the clock %d times, want 1", got-before-1)
+		}
+		if b != a {
+			t.Logf("allocator did not recycle (%#x -> %#x); tick counts still checked", uint32(a), uint32(b))
+		}
+	})
 }
 
 // TestReallocVersionExceedsFreeVersion checks the linchpin of the sandbox
-// argument, per shard: within one clock shard versions are strictly
-// monotonic across a block's free and reuse, and across shards the encoded
-// metadata words never repeat — so a transaction holding a pre-free read can
-// never accept post-reallocation state without an extension that revalidates
-// (and fails on) the old entry, whatever shards the transitions ticked.
+// argument: versions are strictly monotonic across a block's free and reuse,
+// so a transaction holding a pre-free read can never accept
+// post-reallocation state without an extension that revalidates (and fails
+// on) the old entry.
 func TestReallocVersionExceedsFreeVersion(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
-			th := h.NewThread()
-			a := th.Alloc(2)
-			h.StoreNT(a, 1) // bump the word's version past its birth version
-			liveMeta := h.meta[a].Load()
+	t.Run(oneClock, func(t *testing.T) {
+		h := newTestHeap(t, Config{})
+		th := h.NewThread()
+		a := th.Alloc(2)
+		h.StoreNT(a, 1) // bump the word's version past its birth version
+		liveMeta := h.meta[a].Load()
+		th.Free(a)
+		freedMeta := h.meta[a].Load()
+		if metaAllocated(freedMeta) {
+			t.Fatal("freed word still marked allocated")
+		}
+		if metaVersion(freedMeta) <= metaVersion(liveMeta) {
+			t.Errorf("free did not advance the version: %d -> %d", metaVersion(liveMeta), metaVersion(freedMeta))
+		}
+		b := th.Alloc(2)
+		if b != a {
+			t.Skipf("allocator did not recycle the block (%#x -> %#x)", uint32(a), uint32(b))
+		}
+		reusedMeta := h.meta[a].Load()
+		if !metaAllocated(reusedMeta) {
+			t.Fatal("reallocated word not marked allocated")
+		}
+		if metaVersion(reusedMeta) <= metaVersion(freedMeta) {
+			t.Errorf("realloc did not advance the version: %d -> %d", metaVersion(freedMeta), metaVersion(reusedMeta))
+		}
+	})
+}
+
+// TestSweepMetaStripeInvariants: SweepMeta's block walk cross-checks every
+// block header against its payload words' metadata, so Allocated matches
+// Stats.LiveWords on a healthy heap and a metadata/header disagreement is
+// loudly reported in StripeErrors.
+func TestSweepMetaStripeInvariants(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	th := h.NewThread()
+	var keep, freed []Addr
+	for i := 0; i < 16; i++ {
+		a := th.Alloc(1 + i%5)
+		if i%3 == 0 {
 			th.Free(a)
-			freedMeta := h.meta[a].Load()
-			if metaAllocated(freedMeta) {
-				t.Fatal("freed word still marked allocated")
-			}
-			if freedMeta == liveMeta {
-				t.Error("free did not rewrite the metadata word")
-			}
-			// The free ticked th's home shard; shard-relative monotonicity
-			// only compares versions drawn from one shard.
-			if s := h.versionShard(metaVersion(freedMeta)); s != th.ClockShard() {
-				t.Errorf("free versioned from shard %d, want home shard %d", s, th.ClockShard())
-			}
-			if h.versionShard(metaVersion(liveMeta)) == h.versionShard(metaVersion(freedMeta)) &&
-				h.versionTick(metaVersion(freedMeta)) <= h.versionTick(metaVersion(liveMeta)) {
-				t.Errorf("free did not advance its shard's version: %d -> %d",
-					h.versionTick(metaVersion(liveMeta)), h.versionTick(metaVersion(freedMeta)))
-			}
-			b := th.Alloc(2)
-			if b != a {
-				t.Skipf("allocator did not recycle the block (%#x -> %#x)", uint32(a), uint32(b))
-			}
-			reusedMeta := h.meta[a].Load()
-			if !metaAllocated(reusedMeta) {
-				t.Fatal("reallocated word not marked allocated")
-			}
-			// Free and realloc ran on the same thread, hence the same home
-			// shard: the tick comparison is exact, pinning per-shard
-			// monotonicity across reuse.
-			if s := h.versionShard(metaVersion(reusedMeta)); s != th.ClockShard() {
-				t.Errorf("realloc versioned from shard %d, want home shard %d", s, th.ClockShard())
-			}
-			if h.versionTick(metaVersion(reusedMeta)) <= h.versionTick(metaVersion(freedMeta)) {
-				t.Errorf("realloc did not advance its shard's version: %d -> %d",
-					h.versionTick(metaVersion(freedMeta)), h.versionTick(metaVersion(reusedMeta)))
-			}
-		})
+			freed = append(freed, a)
+		} else {
+			keep = append(keep, a)
+		}
 	}
+	ms := h.SweepMeta()
+	if ms.StripeErrors != 0 {
+		t.Fatalf("StripeErrors = %d on a healthy heap", ms.StripeErrors)
+	}
+	if live := h.Stats().LiveWords; ms.Allocated != live {
+		t.Errorf("sweep Allocated = %d payload words, Stats.LiveWords = %d", ms.Allocated, live)
+	}
+	if ms.Locked != 0 || ms.FallbackTagged != 0 {
+		t.Errorf("quiescent sweep: Locked=%d FallbackTagged=%d", ms.Locked, ms.FallbackTagged)
+	}
+	// White-box corruption, both directions: a live block's word marked
+	// free, and a free block's word marked allocated. Either must be flagged
+	// as a header/metadata disagreement.
+	for _, tc := range []struct {
+		name string
+		a    Addr
+		m    uint64
+	}{
+		{"live block with a dead word", keep[0] + 1, makeMeta(0, false)},
+		// The last freed block: no later allocation can have recycled it.
+		{"free block with a live word", freed[len(freed)-1], makeMeta(0, true)},
+	} {
+		saved := h.meta[tc.a].Load()
+		h.meta[tc.a].Store(tc.m)
+		if ms := h.SweepMeta(); ms.StripeErrors != 1 {
+			t.Errorf("%s: StripeErrors = %d, want 1", tc.name, ms.StripeErrors)
+		}
+		h.meta[tc.a].Store(saved)
+	}
+	// A corrupt header stops the walk of its region and is counted.
+	hdr := h.words[keep[0]-1].Load()
+	h.words[keep[0]-1].Store(0)
+	if ms := h.SweepMeta(); ms.StripeErrors == 0 {
+		t.Error("sweep missed a corrupt block header")
+	}
+	h.words[keep[0]-1].Store(hdr)
 }
 
 // TestFreeInvalidatesReadOnlySnapshot is the deterministic port of the racing
@@ -397,4 +420,80 @@ func TestDedupBypassWriteTxnDuplicates(t *testing.T) {
 		// 16 reps of (0 + 0) = 0; the point is the commit succeeded.
 		t.Errorf("committed value = %d, want 0", v)
 	}
+}
+
+// TestClockStripeStressRace is the -race stress mix over the version clock
+// and the per-word metadata: mixed transactional read-modify-write, NT
+// stores, alloc/free churn and TLE overflow fallbacks, ending with a full
+// metadata sweep whose block walk must find no header/metadata disagreement.
+func TestClockStripeStressRace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stress test skipped in -short")
+	}
+	// The heap has one version clock and per-word metadata: the
+	// one-shard, unstriped case of the clock's and metadata's old knobs.
+	t.Run("shards=1/shift=0", func(t *testing.T) {
+		h := newTestHeap(t, Config{Words: 1 << 16, EnableTLE: true, MaxRetries: 8})
+		setup := h.NewThread()
+		shared := make([]Addr, 8)
+		for i := range shared {
+			shared[i] = setup.Alloc(3)
+		}
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(seed uint64) {
+				defer wg.Done()
+				th := h.NewThread()
+				rng := seed*0x9E3779B97F4A7C15 | 1
+				next := func(n uint64) uint64 {
+					rng ^= rng << 13
+					rng ^= rng >> 7
+					rng ^= rng << 17
+					return rng % n
+				}
+				var mine Addr
+				for i := 0; i < 400; i++ {
+					blk := shared[next(uint64(len(shared)))]
+					switch next(4) {
+					case 0: // transactional RMW across two blocks
+						blk2 := shared[next(uint64(len(shared)))]
+						th.Atomic(func(tx *Txn) {
+							v := tx.Load(blk) + tx.Load(blk2+1)
+							tx.Store(blk+2, v)
+						})
+					case 1: // NT store
+						h.StoreNT(blk+Addr(next(3)), uint64(i))
+					case 2: // alloc/free churn on private blocks
+						if mine != NilAddr {
+							th.Free(mine)
+							mine = NilAddr
+						} else {
+							mine = th.Alloc(int(1 + next(5)))
+						}
+					case 3: // store-buffer overflow -> fallback path
+						th.Atomic(func(tx *Txn) {
+							base := shared[0]
+							for j := Addr(0); j < 3; j++ {
+								tx.Store(base+j, tx.Load(base+j)+1)
+							}
+						})
+					}
+				}
+				if mine != NilAddr {
+					th.Free(mine)
+				}
+			}(uint64(w + 1))
+		}
+		wg.Wait()
+		ms := h.SweepMeta()
+		if ms.Locked != 0 || ms.FallbackTagged != 0 || ms.StripeErrors != 0 {
+			t.Errorf("post-stress sweep: Locked=%d FallbackTagged=%d StripeErrors=%d",
+				ms.Locked, ms.FallbackTagged, ms.StripeErrors)
+		}
+		if live := h.Stats().LiveWords; ms.Allocated != live {
+			t.Errorf("post-stress leak: sweep=%d live=%d", ms.Allocated, live)
+		}
+	})
 }

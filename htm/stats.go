@@ -27,21 +27,19 @@ type statCell struct {
 	freeCalls       atomic.Uint64
 	allocWords      atomic.Uint64
 	freeWords       atomic.Uint64
-	clockShardTicks atomic.Uint64
-	stripeConflicts atomic.Uint64
 	dedupEngages    atomic.Uint64
 	fallbackWaits   atomic.Uint64
-	// inCommit and inFine are NOT statistics: they are the adaptive-mode
-	// quiesce-barrier words (Config.Adaptive; see adaptive.go). inCommit is
-	// nonzero while this thread's hardware commit write-back is in flight,
-	// inFine while a fine-grained fallback run is. They live in the cell
-	// because the cell registry is already the heap's per-thread scan list and
-	// the cell's tail padding absorbs them for free; like the counters, each
-	// has a single writer (its owning thread) and is read by others — here the
-	// global-fallback acquirer draining the heap. Always 0 when !Adaptive.
+	// inCommit and inFine are NOT statistics: they are the quiesce-barrier
+	// words (see adaptive.go). inCommit is nonzero while this thread's
+	// hardware commit write-back is in flight, inFine while a fine-grained
+	// fallback run is. They live in the cell because the cell registry is
+	// already the heap's per-thread scan list; like the counters, each has a
+	// single writer (its owning thread) and is read by others — here the
+	// global-fallback acquirer draining the heap.
 	inCommit atomic.Uint64
 	inFine   atomic.Uint64
-	// 24 words: exactly three full cache lines (192 B), no padding left.
+	// 22 words; padded to three full cache lines (192 B).
+	_ [2]uint64
 }
 
 // statCellBytes pins statCell's intended footprint: whole cache lines, so
@@ -63,7 +61,7 @@ const (
 // The registry is copy-on-write: register (rare — once per NewThread)
 // rebuilds the slice under mu, readers load the current slice pointer with no
 // lock and no allocation. That matters because quiesceForGlobal reads it
-// inside every adaptive global-fallback critical section — a mutex plus a
+// inside every global-fallback critical section — a mutex plus a
 // slice copy there would tax the exact serial path the mode switch is trying
 // to make fast.
 type stats struct {
@@ -131,11 +129,10 @@ type Stats struct {
 	// Aborts counts failed attempts by reason.
 	Aborts map[AbortCode]uint64
 	// FallbackRuns is the number of operations completed on the TLE fallback
-	// path (fine-grained lock-set or, with Config.GlobalFallback, the global
-	// lock).
+	// path (fine-grained lock-set or global lock).
 	FallbackRuns uint64
 	// FallbackLocks counts per-word metadata lock acquisitions by the
-	// fine-grained fallback (0 in GlobalFallback mode).
+	// fine-grained fallback (0 in ModeGlobal).
 	FallbackLocks uint64
 	// FallbackRetries counts fine-grained fallback attempts that released
 	// their whole lock-set and re-ran the operation body — the
@@ -154,24 +151,13 @@ type Stats struct {
 	FallbackStalls uint64
 	// AllocCalls and FreeCalls count allocator operations.
 	AllocCalls, FreeCalls uint64
-	// ClockShardTicks counts version-clock ticks issued through threads —
-	// commits, fallback commits, allocs and frees. Ticks by threadless NT
-	// operations (address-hashed shards) are not counted. At quiescence with
-	// no NT writes it equals the sum of ClockShardNow over all shards.
-	ClockShardTicks uint64
-	// StripeConflicts counts conflict aborts detected on striped metadata
-	// (commit acquisition/validation failures and failed extensions while
-	// Config.StripeShift > 0). It includes both true word-level conflicts and
-	// stripe-aliasing false conflicts — the difference from a StripeShift=0
-	// run of the same workload is the aliasing cost. Always 0 unstriped.
-	StripeConflicts uint64
 	// DedupEngages counts transaction attempts that crossed the DedupBypass
 	// threshold and compacted their read set (see Config.DedupBypass). The
 	// Tuner reads its rate as the signal that the bypass budget is being
 	// exhausted.
 	DedupEngages uint64
 	// ModeSwitches counts runtime fallback-mode changes applied through
-	// Heap.SetFallbackMode (Config.Adaptive; 0 otherwise). It is a heap-level
+	// Heap.SetFallbackMode. It is a heap-level
 	// counter, not a per-thread one: switches are rare control-plane events.
 	ModeSwitches uint64
 	// LiveWords is the number of currently allocated payload words;
@@ -220,12 +206,9 @@ func (s Stats) String() string {
 			first = false
 		}
 	}
-	fmt.Fprintf(&b, ") fallback=%d fblocks=%d fbretries=%d fbwaits=%d fbstalls=%d alloc=%d free=%d live=%dw maxLive=%dw clockticks=%d",
+	fmt.Fprintf(&b, ") fallback=%d fblocks=%d fbretries=%d fbwaits=%d fbstalls=%d alloc=%d free=%d live=%dw maxLive=%dw",
 		s.FallbackRuns, s.FallbackLocks, s.FallbackRetries, s.FallbackWaits, s.FallbackStalls,
-		s.AllocCalls, s.FreeCalls, s.LiveWords, s.MaxLiveWords, s.ClockShardTicks)
-	if s.StripeConflicts > 0 {
-		fmt.Fprintf(&b, " stripeconf=%d", s.StripeConflicts)
-	}
+		s.AllocCalls, s.FreeCalls, s.LiveWords, s.MaxLiveWords)
 	if s.ModeSwitches > 0 {
 		fmt.Fprintf(&b, " modeswitches=%d", s.ModeSwitches)
 	}
@@ -249,8 +232,6 @@ func (h *Heap) Stats() Stats {
 		s.FallbackStalls += c.fallbackStalls.Load()
 		s.AllocCalls += c.allocCalls.Load()
 		s.FreeCalls += c.freeCalls.Load()
-		s.ClockShardTicks += c.clockShardTicks.Load()
-		s.StripeConflicts += c.stripeConflicts.Load()
 		s.DedupEngages += c.dedupEngages.Load()
 		for code := 1; code < numAbortCodes; code++ {
 			if n := c.aborts[code].Load(); n > 0 {

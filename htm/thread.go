@@ -13,14 +13,9 @@ type Thread struct {
 	h     *Heap
 	id    uint64
 	shard int // allocator home shard
-	// clockShard is the version-clock shard this thread's commits, allocs and
-	// frees tick (Config.ClockShards). Assigning threads round-robin by ID
-	// keeps concurrently created threads on distinct shards, so disjoint
-	// commits from different threads never RMW a shared clock line.
-	clockShard int
-	rng        uint64
-	txn        Txn
-	inTxn      bool
+	rng   uint64
+	txn   Txn
+	inTxn bool
 
 	// cell is this thread's private statistics block; see stats.
 	cell *statCell
@@ -43,36 +38,20 @@ type Thread struct {
 func (h *Heap) NewThread() *Thread {
 	id := h.nextTID.Add(1)
 	th := &Thread{
-		h:          h,
-		id:         id,
-		shard:      int(id) & (len(h.alloc.shards) - 1),
-		clockShard: int(id & h.shardMask),
-		rng:        id*0x9E3779B97F4A7C15 | 1,
-		cell:       h.stats.register(),
+		h:     h,
+		id:    id,
+		shard: int(id) & (len(h.alloc.shards) - 1),
+		rng:   id*0x9E3779B97F4A7C15 | 1,
+		cell:  h.stats.register(),
 	}
 	th.txn.th = th
 	th.txn.h = h
 	th.txn.words = h.words
 	th.txn.meta = h.meta
-	th.txn.clock = h.clock
-	th.txn.shardBits = h.shardBits
-	th.txn.shardMask = h.shardMask
-	th.txn.sshift = h.stripeShift
-	th.txn.rv = make([]uint64, len(h.clock))
 	th.txn.yieldThresh = h.ntYieldThresh // same conversion as NT accesses
 	th.txn.maxReadSet = h.cfg.MaxReadSet
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
-	// Read-set dedup engages at the configured bypass threshold, never above
-	// half the capacity bound, so a bypass attempt can never abort for
-	// capacity that compaction would have recovered (see Config.DedupBypass).
-	th.txn.dedupAfter = h.cfg.dedupBypassThreshold()
 	th.txn.fbOwner = id & fallbackOwnerMask
-	// With Config.Adaptive the static globalFB flag stays false — mode is the
-	// heap's runtime word, consulted at fallback entry, and begin/extend/commit
-	// monitor the fallback epoch through the adaptive checks instead.
-	th.txn.adaptive = h.cfg.Adaptive
-	th.txn.globalFB = h.cfg.EnableTLE && h.cfg.GlobalFallback && !h.cfg.Adaptive
-	th.txn.fbSpins = h.cfg.fallbackSpins()
 	if h.cfg.Faults.enabled() {
 		th.faults = newThreadFaults(h.cfg.Faults, id)
 		th.txn.faults = th.faults
@@ -83,17 +62,6 @@ func (h *Heap) NewThread() *Thread {
 
 // ID returns the thread's unique identifier (1-based).
 func (th *Thread) ID() uint64 { return th.id }
-
-// ClockShard returns the version-clock shard this thread's commits tick.
-func (th *Thread) ClockShard() int { return th.clockShard }
-
-// tickClock advances this thread's home clock shard and returns the encoded
-// version. Callers must hold (or exclusively own) every metadata word the
-// version will be published to — see Heap.tickShard.
-func (th *Thread) tickClock() uint64 {
-	bump(&th.cell.clockShardTicks)
-	return th.h.tickShard(th.clockShard)
-}
 
 // Heap returns the heap this thread operates on.
 func (th *Thread) Heap() *Heap { return th.h }
@@ -144,46 +112,28 @@ func (th *Thread) backoff(attempt int) {
 //go:noinline
 func spinHint() {}
 
-// begin initializes the reusable transaction descriptor for an attempt. Only
-// the GlobalFallback compatibility mode waits out an active fallback critical
-// section here; under the default fine-grained fallback a transaction begins
-// unconditionally — a concurrent fallback is visible to it purely as locked
+// begin initializes the reusable transaction descriptor for an attempt: it
+// refreshes the tuned knobs — one uncontended load each; a Tuner may have
+// moved them since the last attempt — waits out any global-lock fallback
+// section, snapshotting the epoch it will bump, and reads the clock. In fine
+// mode the epoch never changes, so the wait is a single load; a concurrent
+// fine-grained fallback is visible to the transaction purely as locked
 // metadata words, exactly like any other conflicting writer.
 func (th *Thread) begin() *Txn {
 	t := &th.txn
 	t.reset()
 	h := th.h
-	if t.adaptive {
-		// Refresh the tuned knobs — one uncontended load each; the Tuner may
-		// have moved them since the last attempt — and wait out any global
-		// fallback critical section, snapshotting the epoch it will bump.
-		// In fine mode the seq never changes, so the wait is a single load.
-		t.fbSpins = int(h.fbSpinsDyn.Load())
-		t.dedupAfter = int(h.dedupDyn.Load())
-		for {
-			seq := h.fallbackSeq.Load()
-			if seq&1 == 0 {
-				t.fbSeq = seq
-				break
-			}
-			runtime.Gosched()
+	t.fbSpins = int(h.fbSpinsDyn.Load())
+	t.dedupAfter = int(h.dedupDyn.Load())
+	for {
+		seq := h.fallbackSeq.Load()
+		if seq&1 == 0 {
+			t.fbSeq = seq
+			break
 		}
-	} else if t.globalFB {
-		for {
-			seq := h.fallbackSeq.Load()
-			if seq&1 == 0 {
-				t.fbSeq = seq
-				break
-			}
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 	}
-	// Snapshot every clock shard. One load per shard, no RMW: begin leaves no
-	// trace on any shared cache line. With one shard this is the scalar
-	// rv = clock.Load() of the pre-shard engine.
-	for i := range t.rv {
-		t.rv[i] = h.clock[i].v.Load()
-	}
+	t.rv = h.clock.Load()
 	th.attempts++
 	bump(&th.cell.starts)
 	if th.faults != nil {
@@ -266,8 +216,7 @@ func (th *Thread) tryAtomic(f func(*Txn)) (code AbortCode, addr Addr, ok bool) {
 // commits. If the heap enables TLE and an attempt fails MaxRetries times, f
 // runs on the pessimistic fallback path: by default a fine-grained software
 // transaction that locks the per-word metadata of exactly the words it
-// touches, or — with Config.GlobalFallback — under the paper's single global
-// lock (§6). Without TLE, a transaction that deterministically overflows the
+// touches, or — in ModeGlobal — under the paper's single global lock (§6). Without TLE, a transaction that deterministically overflows the
 // store buffer panics rather than retrying forever.
 func (th *Thread) Atomic(f func(*Txn)) {
 	th.AtomicUntil(f, nil)
@@ -316,20 +265,15 @@ func (th *Thread) AtomicUntil(f func(*Txn), stop func() bool) bool {
 // transactions on words the fallback does not hold — run concurrently; a
 // lock-order conflict with another fallback releases everything and retries
 // with jittered backoff (see fbAcquire for the deadlock-avoidance argument).
+// The runtime mode word is consulted through the quiesce barrier: either the
+// thread is cleared onto the fine path with inFine published for the whole
+// run, or the word directs it to the global path.
 func (th *Thread) runFallback(f func(*Txn)) {
-	if th.txn.adaptive {
-		// Consult the runtime mode word through the quiesce barrier: either we
-		// are cleared onto the fine path with inFine published for the whole
-		// run, or the word directs us to the global path.
-		if !th.enterFineFallback() {
-			th.runGlobalFallback(f)
-			return
-		}
-		defer th.cell.inFine.Store(0)
-	} else if th.txn.globalFB {
+	if !th.enterFineFallback() {
 		th.runGlobalFallback(f)
 		return
 	}
+	defer th.cell.inFine.Store(0)
 	t := &th.txn
 	th.inTxn = true
 	defer func() { th.inTxn = false }()
@@ -350,22 +294,18 @@ func (th *Thread) runFallback(f func(*Txn)) {
 			return
 		}
 		bump(&th.cell.fallbackRetries)
-		if t.adaptive {
-			// Nothing is held between attempts (fbRelease ran), so this is a
-			// safe point to re-consult the mode word: in a storm so dense that
-			// runs stop completing, the Tuner's switch to the global lock must
-			// redirect the operations ALREADY in the retry loop, not only new
-			// entries — they are the storm. Dropping inFine for the backoff also
-			// lets a global acquirer's quiesce scan drain past this thread.
-			th.cell.inFine.Store(0)
-			th.backoff(attempt)
-			if !th.enterFineFallback() {
-				th.runGlobalFallback(f)
-				return
-			}
-			continue
-		}
+		// Nothing is held between attempts (fbRelease ran), so this is a safe
+		// point to re-consult the mode word: in a storm so dense that runs stop
+		// completing, a switch to the global lock must redirect the operations
+		// ALREADY in the retry loop, not only new entries — they are the storm.
+		// Dropping inFine for the backoff also lets a global acquirer's quiesce
+		// scan drain past this thread.
+		th.cell.inFine.Store(0)
 		th.backoff(attempt)
+		if !th.enterFineFallback() {
+			th.runGlobalFallback(f)
+			return
+		}
 	}
 }
 
@@ -392,28 +332,17 @@ func (th *Thread) fallbackAttempt(f func(*Txn)) (done bool) {
 	return true
 }
 
-// runGlobalFallback is the global-lock fallback path — the static
-// Config.GlobalFallback compatibility mode, and ModeGlobal of the adaptive
-// runtime mode word: f runs under the process-wide fallback lock with direct
-// (unbuffered) memory access, mutually exclusive with all transaction
-// commits and (in adaptive mode, via the quiesce barrier) with all
-// fine-grained fallback runs (paper §6).
+// runGlobalFallback is the global-lock fallback path (ModeGlobal): f runs
+// under the process-wide fallback lock with direct (unbuffered) memory
+// access, mutually exclusive — via the quiesce barrier — with all transaction
+// commits and all fine-grained fallback runs (paper §6).
 func (th *Thread) runGlobalFallback(f func(*Txn)) {
 	h := th.h
 	h.fallbackMu.Lock()
 	defer h.fallbackMu.Unlock()
 	h.fallbackSeq.Add(1) // odd: lock held; new transactions wait
-	if th.txn.adaptive {
-		// Adaptive quiesce: drain in-flight commit write-backs AND fine-
-		// grained fallback runs via the per-thread barrier words — the static
-		// activeCommits counter is not maintained in adaptive mode.
-		h.quiesceForGlobal(th.cell)
-	} else {
-		// Wait for in-flight commits to drain.
-		for h.activeCommits.Load() != 0 {
-			runtime.Gosched()
-		}
-	}
+	// Drain in-flight commit write-backs and fine-grained fallback runs.
+	h.quiesceForGlobal(th.cell)
 	t := &th.txn
 	t.reset()
 	t.direct = true

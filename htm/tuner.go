@@ -9,7 +9,7 @@ import (
 
 // Tuner is the per-heap online contention controller: a background goroutine
 // that samples Stats deltas over short epochs and drives the heap's runtime
-// knobs (Config.Adaptive) from live abort feedback —
+// knobs (see adaptive.go) from live abort feedback —
 //
 //   - the fallback MODE: sustained fallback traffic whose contention ratio
 //     (lock-set collisions plus release-and-retries per run) says footprints
@@ -126,12 +126,11 @@ func (c TunerConfig) withDefaults() TunerConfig {
 // the epoch's decisions, as delivered to observers.
 type TunerEpoch struct {
 	// Counter deltas over the epoch.
-	Starts, Commits, Aborts        uint64
-	Conflicts, Spurious, Capacity  uint64
-	FallbackRuns, FallbackRetries  uint64
-	FallbackWaits                  uint64
-	FallbackLocks, StripeConflicts uint64
-	DedupEngages                   uint64
+	Starts, Commits, Aborts       uint64
+	Conflicts, Spurious, Capacity uint64
+	FallbackRuns, FallbackRetries uint64
+	FallbackWaits                 uint64
+	FallbackLocks, DedupEngages   uint64
 	// AbortRate is Aborts/Starts for the epoch (0 when idle).
 	AbortRate float64
 	// RetryRatio is FallbackRetries/FallbackRuns for the epoch (0 when no
@@ -154,7 +153,7 @@ type TunerEpoch struct {
 }
 
 // StartTuner attaches a Tuner to the heap and starts its sampling goroutine.
-// Requires Config.Adaptive. Run exactly one Tuner per heap; Stop it before
+// Run exactly one Tuner per heap; Stop it before
 // discarding the heap.
 func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 	tu := h.NewTuner(cfg)
@@ -165,11 +164,8 @@ func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 
 // NewTuner builds a Tuner without starting its goroutine; callers drive it
 // with Tick. Tests and single-stepped harnesses use this, StartTuner
-// everything else. Requires Config.Adaptive.
+// everything else.
 func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
-	if !h.cfg.Adaptive {
-		panic("htm: StartTuner requires Config.Adaptive")
-	}
 	cfg = cfg.withDefaults()
 	maxDedup := bypassReadCap << 3
 	if mrs := h.cfg.MaxReadSet; mrs >= 0 && mrs/2 < maxDedup {
@@ -292,7 +288,6 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 		FallbackRetries: sub(s.FallbackRetries, tu.last.FallbackRetries),
 		FallbackWaits:   sub(s.FallbackWaits, tu.last.FallbackWaits),
 		FallbackLocks:   sub(s.FallbackLocks, tu.last.FallbackLocks),
-		StripeConflicts: sub(s.StripeConflicts, tu.last.StripeConflicts),
 		DedupEngages:    sub(s.DedupEngages, tu.last.DedupEngages),
 	}
 	e.Aborts = sub(s.TotalAborts(), tu.last.TotalAborts())

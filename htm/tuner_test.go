@@ -1,17 +1,17 @@
 package htm
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// newAdaptiveHeap builds a TLE-enabled adaptive heap that overflows quickly,
-// so fallback traffic is easy to provoke.
+// newAdaptiveHeap builds a TLE-enabled heap that overflows quickly, so
+// fallback traffic is easy to provoke.
 func newAdaptiveHeap(t testing.TB, cfg Config) *Heap {
 	t.Helper()
-	cfg.Adaptive = true
 	if !cfg.EnableTLE {
 		cfg.EnableTLE = true
 	}
@@ -24,32 +24,44 @@ func newAdaptiveHeap(t testing.TB, cfg Config) *Heap {
 	return newTestHeap(t, cfg)
 }
 
-func TestAdaptiveAccessorsRequireAdaptive(t *testing.T) {
+// TestAdaptiveAccessorsWorkOnPlainConfig: the runtime knobs and the Tuner
+// need no opt-in — on a heap built from a plain Config{EnableTLE: true} the
+// seeded values read back, every setter takes effect, a global-mode fallback
+// runs through the always-armed barrier, and a Tuner starts and stops.
+func TestAdaptiveAccessorsWorkOnPlainConfig(t *testing.T) {
 	h := newTestHeap(t, Config{EnableTLE: true})
-	if h.Adaptive() {
-		t.Fatal("static heap reports Adaptive")
-	}
 	if got := h.FallbackMode(); got != ModeFine {
-		t.Errorf("static fine heap FallbackMode = %v", got)
+		t.Errorf("plain heap FallbackMode = %v, want fine", got)
 	}
-	hg := newTestHeap(t, Config{EnableTLE: true, GlobalFallback: true})
-	if got := hg.FallbackMode(); got != ModeGlobal {
-		t.Errorf("static global heap FallbackMode = %v", got)
+	if got := newTestHeap(t, Config{EnableTLE: true, GlobalFallback: true}).FallbackMode(); got != ModeGlobal {
+		t.Errorf("GlobalFallback heap FallbackMode = %v, want global", got)
 	}
-	for name, f := range map[string]func(){
-		"SetFallbackMode":  func() { h.SetFallbackMode(ModeGlobal) },
-		"SetFallbackSpins": func() { h.SetFallbackSpins(7) },
-		"SetDedupBypass":   func() { h.SetDedupBypass(7) },
-		"StartTuner":       func() { h.StartTuner(TunerConfig{}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s on a non-adaptive heap did not panic", name)
-				}
-			}()
-			f()
-		}()
+	h.SetFallbackSpins(7)
+	h.SetDedupBypass(7)
+	if h.FallbackSpins() != 7 || h.DedupBypass() != 7 {
+		t.Errorf("knobs = spins %d dedup %d, want 7 and 7", h.FallbackSpins(), h.DedupBypass())
+	}
+	h.SetFallbackMode(ModeGlobal)
+	if got := h.FallbackMode(); got != ModeGlobal {
+		t.Errorf("FallbackMode after switch = %v, want global", got)
+	}
+	th := h.NewThread()
+	a := th.Alloc(RockStoreBufferSize + 1)
+	th.Atomic(func(tx *Txn) { // overflows the store buffer -> global fallback
+		for i := Addr(0); i <= RockStoreBufferSize; i++ {
+			tx.Store(a+i, 1)
+		}
+	})
+	if st := h.Stats(); st.FallbackRuns != 1 || st.FallbackLocks != 0 {
+		t.Errorf("FallbackRuns=%d FallbackLocks=%d, want one global-lock run", st.FallbackRuns, st.FallbackLocks)
+	}
+	tu := h.StartTuner(TunerConfig{Interval: time.Millisecond})
+	defer tu.Stop()
+	for deadline := time.Now().Add(5 * time.Second); tu.State().Epochs == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("tuner on a plain heap never ticked an epoch")
+		}
+		runtime.Gosched()
 	}
 }
 
@@ -107,7 +119,7 @@ func TestAdaptiveModeSwitchVisibleAndCounted(t *testing.T) {
 	}
 	hg := newAdaptiveHeap(t, Config{GlobalFallback: true})
 	if hg.FallbackMode() != ModeGlobal {
-		t.Errorf("GlobalFallback seeds adaptive initial mode: got %v", hg.FallbackMode())
+		t.Errorf("GlobalFallback seeds the initial mode: got %v", hg.FallbackMode())
 	}
 }
 

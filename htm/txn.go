@@ -19,8 +19,8 @@ var abortSentinel = &txnAbort{}
 // readEntry records one read: the address and the full metadata word observed
 // when the value was read (unlocked, allocated, version ≤ rv at that time).
 // Validation is a single load-and-compare against the live metadata: any
-// concurrent commit, free, or reallocation of the governing stripe rewrites
-// the one word the validator rereads.
+// concurrent commit, free, or reallocation of the word rewrites the one
+// metadata word the validator rereads.
 type readEntry struct {
 	addr Addr
 	meta uint64
@@ -29,23 +29,22 @@ type readEntry struct {
 // writeEntry buffers one write: the address, the value, and the metadata
 // word observed when the store was buffered (lock bit cleared). Commit
 // acquisition CASes the live metadata from exactly this recorded word, so a
-// stripe that changed in ANY way since the store — a concurrent commit, an NT
+// word that changed in ANY way since the store — a concurrent commit, an NT
 // write, a free, or a free-and-reallocation — fails acquisition and aborts.
-// Per-shard version monotonicity makes the recorded word unrepeatable, which
-// is what keeps a blind write from ever landing in a reused block's new life.
+// Version monotonicity makes the recorded word unrepeatable, which is what
+// keeps a blind write from ever landing in a reused block's new life.
 type writeEntry struct {
 	addr Addr
 	val  uint64
 	meta uint64
 }
 
-// lockEntry records one metadata word (a word's, or a whole stripe's with
-// Config.StripeShift) held by a fine-grained fallback operation: the METADATA
-// INDEX, the metadata word displaced by the lock acquisition (restored
-// verbatim if the stripe is released unwritten), and whether the operation
+// lockEntry records one word held by a fine-grained fallback operation: its
+// address, the metadata word displaced by the lock acquisition (restored
+// verbatim if the word is released unwritten), and whether the operation
 // buffered a store under it (released with a fresh version instead).
 type lockEntry struct {
-	addr    Addr // metadata index, not a word address
+	addr    Addr
 	prev    uint64
 	written bool
 }
@@ -59,12 +58,10 @@ type lockEntry struct {
 type Txn struct {
 	th *Thread
 	h  *Heap
-	// rv is the read-validity snapshot: one tick per clock shard, taken at
-	// begin and advanced wholesale by extend(). A version with shard s and
-	// tick k is readable iff k <= rv[s]. With one shard this is the classic
-	// TL2 scalar timestamp; the slice is allocated once per Thread and reused
-	// by every attempt, so begin stays allocation-free.
-	rv     []uint64
+	// rv is the read-validity snapshot of the version clock, taken at begin
+	// and advanced by extend(): a version is readable iff it is <= rv (the
+	// classic TL2 timestamp).
+	rv     uint64
 	fbSeq  uint64 // fallback-lock sequence observed at begin
 	reads  []readEntry
 	writes []writeEntry
@@ -82,15 +79,13 @@ type Txn struct {
 	// cfg) on every transactional access.
 	words        []atomic.Uint64
 	meta         []atomic.Uint64
-	clock        []clockLine // the heap's sharded version clock
-	shardBits    uint        // version encoding: tick<<shardBits | shard
-	shardMask    uint64
-	sshift       uint   // metadata stripe shift (Config.StripeShift)
 	yieldThresh  uint64 // rand() below this yields; 0 = never (see maybeYield)
 	maxReadSet   int
 	storeBufSize int
-	dedupAfter   int // read-set length at which dedup engages (see below)
-	fbSpins      int // out-of-order try-lock bound (Config.FallbackSpins)
+
+	// The tuned knobs, refreshed from the heap's runtime words at begin.
+	dedupAfter int // read-set length at which dedup engages (see below)
+	fbSpins    int // out-of-order try-lock bound (Heap.SetFallbackSpins)
 
 	// Fault injection (Config.Faults): faults is the owning thread's injection
 	// state (nil without a plan — one pointer check per access), fbDelay the
@@ -130,20 +125,13 @@ type Txn struct {
 	// the write set. fbMax is the highest address currently held — the
 	// ordered-acquisition watermark the deadlock-avoidance protocol compares
 	// against. fbOwner is the thread ID masked to FallbackOwnerBits, recorded
-	// in each held word's metadata. globalFB caches the STATIC global mode
-	// (EnableTLE && GlobalFallback && !Adaptive): only then do begin/extend/
-	// commit monitor the global fallback sequence through the static checks.
-	// adaptive caches Config.Adaptive: begin then refreshes the tuned knobs
-	// and snapshots the fallback epoch, extend revalidates it, and commit
-	// publishes the inCommit barrier word (see adaptive.go). directGlobal is
-	// per-run state: this fallback run executes under the global lock with
-	// direct NT access (set by runGlobalFallback, whichever mode selected it).
+	// in each held word's metadata. directGlobal is per-run state: this
+	// fallback run executes under the global lock with direct NT access (set
+	// by runGlobalFallback).
 	locks        []lockEntry
 	lindex       setIndex
 	fbMax        Addr
 	fbOwner      uint64
-	globalFB     bool
-	adaptive     bool
 	directGlobal bool
 }
 
@@ -163,10 +151,6 @@ func readFilterBits(a Addr) (fw uint32, mask uint64) {
 // when MaxReadSet is unbounded (or enormous), so pathological repeat-heavy
 // bodies cannot grow the duplicated read set without limit.
 const bypassReadCap = 4096
-
-// mi maps a word address to the index of its governing metadata word; the
-// identity unless Config.StripeShift groups words into stripes (see Heap.mi).
-func (t *Txn) mi(a Addr) int { return int(a) >> t.sshift }
 
 // findWrite returns the write-set slot holding a, or -1.
 func (t *Txn) findWrite(a Addr) int {
@@ -195,18 +179,6 @@ func (t *Txn) addWrite(a Addr, v, meta uint64) {
 			t.windex.insert(a, n-1)
 		}
 	}
-}
-
-// stripeWritten reports whether any write entry maps to stripe si. Used only
-// on the striped commit path (the per-word path uses findWrite); the write
-// set is bounded by the store buffer, so the scan is small.
-func (t *Txn) stripeWritten(si int) bool {
-	for i := range t.writes {
-		if t.mi(t.writes[i].addr) == si {
-			return true
-		}
-	}
-	return false
 }
 
 // findLock returns the lock-set slot holding a, or -1. Same shape as
@@ -247,19 +219,17 @@ func (t *Txn) addLock(a Addr, prev uint64) int {
 
 // defaultFallbackSpins is the default bound on how long a fallback operation
 // try-locks a word BELOW its acquisition watermark before releasing everything
-// and retrying (Config.FallbackSpins overrides it). Waiting on a word above
+// and retrying (Config.FallbackSpins seeds it, Heap.SetFallbackSpins tunes it). Waiting on a word above
 // every held address follows the global address order and cannot deadlock, so
 // in-order waits are unbounded; out-of-order waits are where cycles form, so
 // they are bounded.
 const defaultFallbackSpins = 128
 
-// fbAcquire takes the fine-grained fallback lock on the metadata word
-// governing a and returns its lock-set slot (immediately, if already held).
-// With Config.StripeShift the lock-set is keyed by stripe index, so two words
-// in one stripe cost one acquisition — exactly as a hardware commit CASes one
-// stripe once. Deadlock avoidance is ordered try-lock with bounded backoff:
-// acquiring above the watermark may wait indefinitely (metadata-index order is
-// a global total order, so such waits cannot cycle; hardware commits and NT
+// fbAcquire takes the fine-grained fallback lock on the metadata word of a
+// and returns its lock-set slot (immediately, if already held). Deadlock
+// avoidance is ordered try-lock with bounded backoff: acquiring above the
+// watermark may wait indefinitely (address order is a global total order, so
+// such waits cannot cycle; hardware commits and NT
 // operations never wait while holding locks and are waited out
 // unconditionally), while acquiring below it try-locks Config.FallbackSpins
 // times and then aborts the attempt — the runFallback loop releases the entire
@@ -268,22 +238,21 @@ const defaultFallbackSpins = 128
 // and turns a same-thread re-lock — impossible unless the lock-set invariant
 // broke — into a loud panic instead of a silent self-deadlock.
 func (t *Txn) fbAcquire(a Addr, op string) int {
-	s := Addr(t.mi(a))
-	if i := t.findLock(s); i >= 0 {
+	if i := t.findLock(a); i >= 0 {
 		return i
 	}
 	locked := makeFallbackMeta(t.fbOwner)
 	waited := false
 	for spins := 0; ; spins++ {
-		m := t.meta[s].Load()
+		m := t.meta[a].Load()
 		switch {
 		case !metaLocked(m):
 			if !metaAllocated(m) {
 				t.accessFault(a, op)
 			}
-			if t.meta[s].CompareAndSwap(m, locked) {
+			if t.meta[a].CompareAndSwap(m, locked) {
 				bump(&t.th.cell.fallbackLocks)
-				return t.addLock(s, m)
+				return t.addLock(a, m)
 			}
 		case metaFallbackLocked(m):
 			if metaFallbackOwner(m) == t.fbOwner {
@@ -296,11 +265,10 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 				bump(&t.th.cell.fallbackWaits)
 			}
 			// Held by another fallback operation, potentially for long.
-			if len(t.locks) > 0 && s < t.fbMax && spins >= t.fbSpins {
+			if len(t.locks) > 0 && a < t.fbMax && spins >= t.fbSpins {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
-			if t.adaptive && (t.th.h.fallbackSeq.Load()&1 != 0 ||
-				FallbackMode(t.th.h.fbMode.Load()) == ModeGlobal) {
+			if t.h.fallbackSeq.Load()&1 != 0 || FallbackMode(t.h.fbMode.Load()) == ModeGlobal {
 				// A global critical section is pending, or the Tuner switched
 				// modes mid-storm. In-order waits are normally unbounded (they
 				// follow the address order, so they cannot deadlock), but an
@@ -322,8 +290,8 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 	}
 }
 
-// fbLoad is Txn.Load on the fine-grained fallback path: lock the governing
-// stripe, then read the word directly — the lock excludes every writer
+// fbLoad is Txn.Load on the fine-grained fallback path: lock the word, then
+// read the word directly — the lock excludes every writer
 // (commits and NT writes take the same metadata lock), so no read-set entry
 // or validation is needed.
 func (t *Txn) fbLoad(a Addr) uint64 {
@@ -357,11 +325,11 @@ func (t *Txn) fbStore(a Addr, v uint64) {
 	t.addWrite(a, v, 0) // metadata slot unused: release stores, not CASes
 }
 
-// fbRelease releases the whole lock-set: written stripes take a fresh live
+// fbRelease releases the whole lock-set: written words take a fresh live
 // metadata word at version wv (the caller has already stored their values),
-// read-locked stripes get their displaced metadata back verbatim (no
+// read-locked words get their displaced metadata back verbatim (no
 // observable transition). Pass wv=0 on abort/retry paths — buffered writes
-// were never applied, so every stripe restores to its pre-lock state.
+// were never applied, so every word restores to its pre-lock state.
 func (t *Txn) fbRelease(wv uint64) {
 	for i := range t.locks {
 		l := &t.locks[i]
@@ -442,14 +410,14 @@ func (t *Txn) Abort() {
 // the identical guard by hand because the combined check+call exceeds the
 // compiler's inlining budget — keep the three copies in sync.
 func (t *Txn) checkAccess(a Addr, op string) {
-	if a != NilAddr && int(a) < len(t.words) && metaAllocated(t.meta[t.mi(a)].Load()) {
+	if a != NilAddr && int(a) < len(t.words) && metaAllocated(t.meta[a].Load()) {
 		return
 	}
 	t.accessFault(a, op)
 }
 
 func (t *Txn) accessFault(a Addr, op string) {
-	if t.h.cfg.Sandboxed && !t.direct {
+	if t.h.cfg.sandboxed && !t.direct {
 		t.abort(AbortIllegal, a)
 	}
 	panic(fmt.Sprintf("htm: transactional %s of invalid or freed address %#x without sandboxing (simulated segmentation fault)", op, uint32(a)))
@@ -457,13 +425,11 @@ func (t *Txn) accessFault(a Addr, op string) {
 
 // validate checks that every read performed so far still holds the metadata
 // word it held when read — one atomic load and compare per entry; a lock, a
-// version bump, a free, or a reallocation all fail it. Stripes locked by this
-// transaction's own commit are checked against their pre-lock metadata by the
-// caller.
+// version bump, a free, or a reallocation all fail it.
 func (t *Txn) validate() bool {
 	for i := range t.reads {
 		r := &t.reads[i]
-		if t.meta[t.mi(r.addr)].Load() != r.meta {
+		if t.meta[r.addr].Load() != r.meta {
 			return false
 		}
 	}
@@ -471,31 +437,23 @@ func (t *Txn) validate() bool {
 }
 
 // extend attempts to move the read-validity snapshot forward after
-// encountering a version newer than its shard's rv entry, aborting on any
-// stale read. This gives the engine HTM-like conflict behaviour: transactions
-// abort only when a word they actually read or wrote is modified
-// concurrently. The shard clocks are re-read BEFORE revalidating, exactly as
-// the scalar scheme read the clock before validate(): any write that the new
-// snapshot admits but that landed before the scan is caught by the equality
-// revalidation, so a torn snapshot can never be certified.
+// encountering a version newer than rv, aborting on any stale read. This
+// gives the engine HTM-like conflict behaviour: transactions abort only when
+// a word they actually read or wrote is modified concurrently. The clock is
+// re-read BEFORE revalidating: any write that the new snapshot admits but
+// that landed before the read is caught by the equality revalidation.
 func (t *Txn) extend() {
-	// GlobalFallback compatibility mode only: a timestamp extension across a
-	// global-lock fallback acquisition could mix pre- and post-critical-
-	// section state; abort instead, exactly as a hardware transaction holding
-	// the lock word in its read set would. The fine-grained fallback needs no
-	// check here — a fallback that touched any word this transaction read
-	// rewrote that word's metadata, so validate() below catches it. Adaptive
-	// mode monitors the same epoch: the global path may engage at any moment.
-	if (t.globalFB || t.adaptive) && t.h.fallbackSeq.Load() != t.fbSeq {
+	// A timestamp extension across a global-lock fallback section could mix
+	// pre- and post-section state; abort instead, exactly as a hardware
+	// transaction holding the lock word in its read set would. The
+	// fine-grained fallback needs no check here — a fallback that touched any
+	// word this transaction read rewrote that word's metadata, so validate()
+	// below catches it.
+	if t.h.fallbackSeq.Load() != t.fbSeq {
 		t.abort(AbortFallback, NilAddr)
 	}
-	for i := range t.rv {
-		t.rv[i] = t.clock[i].v.Load()
-	}
+	t.rv = t.h.clock.Load()
 	if !t.validate() {
-		if t.sshift != 0 {
-			bump(&t.th.cell.stripeConflicts)
-		}
 		t.abort(AbortConflict, NilAddr)
 	}
 }
@@ -538,11 +496,10 @@ func (t *Txn) Load(a Addr) uint64 {
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "load")
 	}
-	mi := t.mi(a)
 	if i := t.findWrite(a); i >= 0 {
 		// Read-own-write still faults at the access if the word was freed
 		// since the store — same semantics as Store and the loop below.
-		if !metaAllocated(t.meta[mi].Load()) {
+		if !metaAllocated(t.meta[a].Load()) {
 			t.accessFault(a, "load")
 		}
 		return t.writes[i].val
@@ -553,7 +510,7 @@ func (t *Txn) Load(a Addr) uint64 {
 		// free() rewrites this same word, so m1 carrying the allocated bit
 		// plus an unchanged metadata word below proves the value is a read of
 		// then-live memory.
-		m1 := t.meta[mi].Load()
+		m1 := t.meta[a].Load()
 		if m1&(metaLockBit|metaAllocBit) != metaAllocBit {
 			if metaLocked(m1) {
 				if spins < 64 {
@@ -564,17 +521,14 @@ func (t *Txn) Load(a Addr) uint64 {
 			t.accessFault(a, "load")
 		}
 		v := t.words[a].Load()
-		if t.meta[mi].Load() != m1 {
+		if t.meta[a].Load() != m1 {
 			continue
 		}
-		// The version is shard-relative: compare its tick against the rv
-		// entry of the shard that issued it (one decode, one indexed load;
-		// with one shard this is exactly the scalar version > rv test).
-		if ver := metaVersion(m1); ver>>t.shardBits > t.rv[ver&t.shardMask] {
+		if metaVersion(m1) > t.rv {
 			t.extend()
 			// The word may have changed again between the value read and the
 			// extension; re-read under the new snapshot.
-			if t.meta[mi].Load() != m1 {
+			if t.meta[a].Load() != m1 {
 				continue
 			}
 		}
@@ -630,7 +584,7 @@ func (t *Txn) Store(a Addr, v uint64) {
 	if a == NilAddr || int(a) >= len(t.words) {
 		t.accessFault(a, "store")
 	}
-	m := t.meta[t.mi(a)].Load()
+	m := t.meta[a].Load()
 	if !metaAllocated(m) {
 		t.accessFault(a, "store")
 	}
@@ -714,9 +668,9 @@ func (t *Txn) commit() (AbortCode, Addr) {
 				for i := 0; i < t.fbDelay; i++ {
 					runtime.Gosched()
 				}
-				// Tick the home shard with the whole lock-set held — same
+				// Tick the clock with the whole lock-set held — same
 				// lock-then-tick order as a hardware commit.
-				t.fbRelease(t.th.tickClock())
+				t.fbRelease(h.tick())
 			} else {
 				t.fbRelease(0)
 			}
@@ -734,150 +688,90 @@ func (t *Txn) commit() (AbortCode, Addr) {
 		return 0, NilAddr
 	}
 	// Global-fallback fence: commits may not overlap a global-lock fallback
-	// critical section. In the static GlobalFallback mode the fence is the
-	// activeCommits counter; in adaptive mode — where the global path may
-	// engage at any moment — it is the per-thread inCommit barrier word,
-	// published BEFORE revalidating the epoch so this commit either observes
-	// the section (and aborts) or is observed by its acquirer (and waited
-	// out). The fine-grained fallback needs no fence — it holds the metadata
-	// locks of the words it touches, so a conflicting commit simply fails its
-	// acquisition CAS below, and a disjoint commit proceeds concurrently.
-	tle := t.globalFB
-	if tle {
-		h.activeCommits.Add(1)
-		if h.fallbackSeq.Load() != t.fbSeq {
-			h.activeCommits.Add(^uint64(0))
-			return AbortFallback, NilAddr
-		}
-	} else if t.adaptive {
-		t.th.cell.inCommit.Store(1)
-		if h.fallbackSeq.Load() != t.fbSeq {
-			t.th.cell.inCommit.Store(0)
-			return AbortFallback, NilAddr
-		}
+	// section, which writes memory in place. The fence is the per-thread
+	// inCommit barrier word, published BEFORE revalidating the fallback epoch
+	// so this commit either observes the section (and aborts) or is observed
+	// by its acquirer (and waited out); see adaptive.go. The fine-grained
+	// fallback needs no fence — it holds the metadata locks of the words it
+	// touches, so a conflicting commit simply fails its acquisition CAS below,
+	// and a disjoint commit proceeds concurrently.
+	inCommit := &t.th.cell.inCommit
+	inCommit.Store(1)
+	if h.fallbackSeq.Load() != t.fbSeq {
+		inCommit.Store(0)
+		return AbortFallback, NilAddr
 	}
 
-	// Acquire ownership of the write set: one CAS per governing metadata word
-	// (per word by default, per stripe with Config.StripeShift), from exactly
-	// the metadata recorded when the store was buffered to that word locked.
-	// The CAS doubles as full validation of the written stripe — a concurrent
-	// commit, an NT write, a free, or a free-and-reallocation all rewrote
-	// the metadata since then (versions only grow within their shard and the
-	// shard rides in the encoding, so a recorded word can never recur), and
-	// each fails the acquisition. In particular a blind write can never land
-	// in a reused block's new life, and a freed stripe is never locked (which
-	// is what lets the allocator transition free stripes with a bare CAS
-	// instead of a lock handshake).
-	//
-	// With striping, several write entries can share a stripe; only the FIRST
-	// entry of each stripe CASes it (later entries are skipped by a backscan —
-	// the write set is bounded by the store buffer, so the scan is tiny). A
-	// later entry whose recorded metadata differs from the first's proves the
-	// stripe changed between the two stores: abort, as the per-word engine
-	// would have on whichever word changed.
-	striped := t.sshift != 0
-	acquired := 0
-	skip := func(i int, si int) bool { // a non-first entry of an acquired stripe?
-		for j := 0; j < i; j++ {
-			if t.mi(t.writes[j].addr) == si {
-				return true
-			}
-		}
-		return false
-	}
-	fail := func(code AbortCode, a Addr) (AbortCode, Addr) {
-		for i := 0; i < acquired; i++ {
-			si := t.mi(t.writes[i].addr)
-			if striped && skip(i, si) {
-				continue
-			}
-			h.releaseMetaUnchanged(si, t.writes[i].meta)
-		}
-		if tle {
-			h.activeCommits.Add(^uint64(0))
-		} else if t.adaptive {
-			t.th.cell.inCommit.Store(0)
-		}
-		if striped && code == AbortConflict {
-			bump(&t.th.cell.stripeConflicts)
-		}
-		return code, a
-	}
+	// Acquire ownership of the write set: one CAS per word, from exactly the
+	// metadata recorded when the store was buffered to that word locked. The
+	// CAS doubles as full validation of the written word — a concurrent
+	// commit, an NT write, a free, or a free-and-reallocation all rewrote the
+	// metadata since then (versions only grow, so a recorded word can never
+	// recur), and each fails the acquisition. In particular a blind write can
+	// never land in a reused block's new life, and a freed word is never
+	// locked (which is what lets the allocator transition free words with a
+	// bare CAS instead of a lock handshake).
 	for i := range t.writes {
 		w := &t.writes[i]
-		si := t.mi(w.addr)
-		if striped && skip(i, si) {
-			if t.writes[i].meta != h.meta[si].Load()&^metaLockBit {
-				// Our own lock bit is set on the stripe; anything else
-				// differing from this entry's recorded metadata means the
-				// stripe moved between this store and the first one.
-				return fail(AbortConflict, w.addr)
-			}
-			acquired++
-			continue
-		}
-		if !h.meta[si].CompareAndSwap(w.meta, w.meta|metaLockBit) {
-			if cur := h.meta[si].Load(); !metaAllocated(cur) && !metaLocked(cur) {
+		if !h.meta[w.addr].CompareAndSwap(w.meta, w.meta|metaLockBit) {
+			if cur := h.meta[w.addr].Load(); !metaAllocated(cur) && !metaLocked(cur) {
 				// The word was freed — and not yet reused — since our store.
-				// (A freed-and-reused word aborts as a conflict above, which
+				// (A freed-and-reused word aborts as a conflict below, which
 				// is equally safe: nothing was locked or written.)
-				if h.cfg.Sandboxed {
-					return fail(AbortIllegal, w.addr)
+				t.commitFail(i)
+				if !h.cfg.sandboxed {
+					panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(w.addr)))
 				}
-				fail(AbortIllegal, w.addr)
-				panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(w.addr)))
+				return AbortIllegal, w.addr
 			}
-			return fail(AbortConflict, w.addr)
+			t.commitFail(i)
+			return AbortConflict, w.addr
 		}
-		acquired++
 	}
 
-	// Tick the home shard of the version clock. The order is load-bearing and
-	// unchanged from the scalar clock: every write lock is already held, so
-	// any transaction whose begin-scan observes this tick and then reads one
-	// of our words either sees it locked (waits/aborts) or sees the fresh
-	// version — never the old value under a snapshot that admits the new one.
-	wv := t.th.tickClock()
+	// Tick the version clock. The order is load-bearing: every write lock is
+	// already held, so any transaction whose begin observes this tick and
+	// then reads one of our words either sees it locked (waits/aborts) or
+	// sees the fresh version — never the old value under a snapshot that
+	// admits the new one.
+	wv := h.tick()
 
-	// Validate the read set. Stripes we hold locked for writing are validated
+	// Validate the read set. Words we hold locked for writing are validated
 	// against their pre-lock (recorded) metadata.
 	for i := range t.reads {
 		r := &t.reads[i]
-		si := t.mi(r.addr)
-		o := h.meta[si].Load()
+		o := h.meta[r.addr].Load()
 		if o == r.meta {
 			continue
 		}
 		if metaLocked(o) {
-			if striped {
-				// Own-lock check at stripe granularity: the read is covered if
-				// ANY of our write entries locked this stripe from exactly the
-				// metadata the read recorded.
-				if o&^metaLockBit == r.meta && t.stripeWritten(si) {
-					continue
-				}
-			} else if j := t.findWrite(r.addr); j >= 0 && t.writes[j].meta == r.meta {
+			if j := t.findWrite(r.addr); j >= 0 && t.writes[j].meta == r.meta {
 				continue
 			}
 		}
-		return fail(AbortConflict, r.addr)
+		t.commitFail(len(t.writes))
+		return AbortConflict, r.addr
 	}
 
 	for i := range t.writes {
 		h.words[t.writes[i].addr].Store(t.writes[i].val)
 	}
-	// Releasing a stripe twice with the same fresh version is an idempotent
-	// store, so the release loop needs no dedup.
 	for i := range t.writes {
-		h.releaseMeta(t.mi(t.writes[i].addr), wv)
+		h.releaseMeta(t.writes[i].addr, wv)
 	}
-	if tle {
-		h.activeCommits.Add(^uint64(0))
-	} else if t.adaptive {
-		t.th.cell.inCommit.Store(0)
-	}
+	inCommit.Store(0)
 	t.runFrees()
 	return 0, NilAddr
+}
+
+// commitFail backs a failed commit out: it unlocks the first acquired write
+// entries, restoring their recorded metadata, and clears the inCommit barrier
+// word.
+func (t *Txn) commitFail(acquired int) {
+	for i := 0; i < acquired; i++ {
+		t.h.releaseMetaUnchanged(t.writes[i].addr, t.writes[i].meta)
+	}
+	t.th.cell.inCommit.Store(0)
 }
 
 func (t *Txn) runFrees() {

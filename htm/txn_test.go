@@ -2,7 +2,6 @@ package htm
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 )
@@ -404,47 +403,173 @@ func TestSnapshotConsistencyWithNTWriter(t *testing.T) {
 	wg.Wait()
 }
 
-// TestClockMonotonic pins the shard-relative tick discipline: every
-// committing write transaction ticks its thread's home clock shard exactly
-// once, and only that shard (the total across shards advances by exactly the
-// home shard's delta).
+// oneClock names the subtest of the clock tests that run on the heap's
+// single version clock (the one-shard case of the clock's old shard knob).
+const oneClock = "shards=1"
+
+// TestClockMonotonic pins the tick discipline: every committing write
+// transaction ticks the version clock exactly once.
 func TestClockMonotonic(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
-			th := h.NewThread()
-			a := th.Alloc(1)
-			home := th.ClockShard()
-			prev := h.ClockShardNow(home)
-			prevTotal := h.ClockNow()
-			for i := 0; i < 100; i++ {
-				th.Atomic(func(tx *Txn) { tx.Store(a, uint64(i)) })
-				now := h.ClockShardNow(home)
-				if now != prev+1 {
-					t.Fatalf("home shard ticked %d times for one commit", now-prev)
-				}
-				if total := h.ClockNow(); total != prevTotal+1 {
-					t.Fatalf("commit moved a foreign shard: total %d -> %d", prevTotal, total)
-				}
-				prev = now
-				prevTotal++
+	t.Run(oneClock, func(t *testing.T) {
+		h := newTestHeap(t, Config{})
+		th := h.NewThread()
+		a := th.Alloc(1)
+		prev := h.ClockNow()
+		for i := 0; i < 100; i++ {
+			th.Atomic(func(tx *Txn) { tx.Store(a, uint64(i)) })
+			now := h.ClockNow()
+			if now != prev+1 {
+				t.Fatalf("clock ticked %d times for one commit", now-prev)
 			}
-		})
-	}
+			prev = now
+		}
+	})
 }
 
 func TestReadOnlyTxnDoesNotAdvanceClock(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			h := newTestHeap(t, Config{ClockShards: shards})
-			th := h.NewThread()
-			a := th.Alloc(1)
-			before := h.ClockNow()
-			th.Atomic(func(tx *Txn) { tx.Load(a) })
-			if after := h.ClockNow(); after != before {
-				t.Errorf("read-only txn advanced clock %d -> %d", before, after)
-			}
+	t.Run(oneClock, func(t *testing.T) {
+		h := newTestHeap(t, Config{})
+		th := h.NewThread()
+		a := th.Alloc(1)
+		before := h.ClockNow()
+		th.Atomic(func(tx *Txn) { tx.Load(a) })
+		if after := h.ClockNow(); after != before {
+			t.Errorf("read-only txn advanced clock %d -> %d", before, after)
+		}
+	})
+}
+
+// The deterministic tests below drive a second thread's commit from inside
+// the first thread's transaction body — each Thread is used by one goroutine
+// at a time, so this is legal — which pins the exact interleaving the
+// engine must survive.
+
+// TestExtendSucceeds: a reader observes a version that postdates its begin
+// snapshot. The read must force an extension, the extension must succeed
+// (nothing the reader previously read changed), and the reader must see the
+// writer's committed value.
+func TestExtendSucceeds(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	reader, writer := h.NewThread(), h.NewThread()
+	x, y := reader.Alloc(1), reader.Alloc(1)
+	wrote := false
+	var got uint64
+	reader.Atomic(func(tx *Txn) {
+		tx.Load(x)
+		if !wrote {
+			wrote = true
+			writer.Atomic(func(wx *Txn) { wx.Store(y, 42) })
+		}
+		got = tx.Load(y)
+	})
+	if got != 42 {
+		t.Errorf("reader saw %d after extension, want 42", got)
+	}
+}
+
+// TestExtendAborts: same shape, but the writer also rewrites a word the
+// reader already read — the forced extension must fail revalidation and
+// abort the attempt with AbortConflict rather than let the reader pair pre-
+// and post-commit state.
+func TestExtendAborts(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	reader, writer := h.NewThread(), h.NewThread()
+	x, y := reader.Alloc(1), reader.Alloc(1)
+	err := reader.TryAtomic(func(tx *Txn) {
+		tx.Load(x)
+		writer.Atomic(func(wx *Txn) {
+			wx.Store(x, 7) // invalidates the reader's snapshot
+			wx.Store(y, 7)
 		})
+		tx.Load(y) // version above rv -> extend -> must fail
+		t.Error("reader survived a torn snapshot")
+	})
+	if code := abortCodeOf(t, err); code != AbortConflict {
+		t.Errorf("abort code = %v, want AbortConflict", code)
+	}
+}
+
+func abortCodeOf(t *testing.T, err error) AbortCode {
+	t.Helper()
+	var ae *AbortError
+	if !errors.As(err, &ae) {
+		t.Fatalf("expected *AbortError, got %v", err)
+	}
+	return ae.Code
+}
+
+// TestStripeAliasingConflict pins the per-word metadata property for a
+// reader: a commit to a DIFFERENT word of the reader's block, or to another
+// block, does not conflict with the reader's snapshot, while a commit to a
+// word the reader already read does.
+func TestStripeAliasingConflict(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	reader, mut := h.NewThread(), h.NewThread()
+	blk := reader.Alloc(3)
+	other := reader.Alloc(3)
+	run := func(target Addr) error {
+		return reader.TryAtomic(func(tx *Txn) {
+			tx.Load(blk)
+			mut.Atomic(func(mx *Txn) { mx.Store(target, 9) })
+			tx.Load(target) // newer than rv: forces an extension
+		})
+	}
+	if err := run(blk + 2); err != nil {
+		t.Errorf("write to a neighbor word conflicted: %v", err)
+	}
+	if err := run(other); err != nil {
+		t.Errorf("write to another block conflicted: %v", err)
+	}
+	if code := abortCodeOf(t, run(blk)); code != AbortConflict {
+		t.Errorf("write to a word already read: abort code = %v, want AbortConflict", code)
+	}
+}
+
+// TestStripeWriteWriteAliasing: the commit-time acquisition CAS operates on
+// per-word metadata, so a concurrent commit to a DIFFERENT word of the same
+// block leaves this transaction's acquisition alone, while a concurrent
+// commit to the same word fails it.
+func TestStripeWriteWriteAliasing(t *testing.T) {
+	t.Run("shift=0", func(t *testing.T) {
+		h := newTestHeap(t, Config{})
+		a, b := h.NewThread(), h.NewThread()
+		blk := a.Alloc(3)
+		run := func(target Addr) error {
+			return a.TryAtomic(func(tx *Txn) {
+				tx.Store(blk, 1)
+				b.Atomic(func(bx *Txn) { bx.Store(target, 2) })
+			})
+		}
+		if err := run(blk + 2); err != nil {
+			t.Errorf("commit to distinct words aborted: %v", err)
+		}
+		if code := abortCodeOf(t, run(blk)); code != AbortConflict {
+			t.Errorf("write-write on one word: abort code = %v, want AbortConflict", code)
+		}
+	})
+}
+
+// TestSelfOverlapCommit: one transaction reading and writing the same words
+// must not conflict with itself — read validation recognizes the
+// transaction's own write locks, and release publishes one fresh version.
+func TestSelfOverlapCommit(t *testing.T) {
+	h := newTestHeap(t, Config{})
+	th := h.NewThread()
+	blk := th.Alloc(3)
+	before := h.ClockNow()
+	th.Atomic(func(tx *Txn) {
+		tx.Store(blk, 1)
+		tx.Store(blk+1, 2)
+		tx.Store(blk+2, tx.Load(blk)+tx.Load(blk+1)+tx.Load(blk+2))
+	})
+	if got := h.LoadNT(blk + 2); got != 3 {
+		t.Errorf("self-overlapping commit wrote %d, want 3", got)
+	}
+	if st := h.Stats(); st.Commits != 1 || st.TotalAborts() != 0 {
+		t.Errorf("commits=%d aborts=%d, want 1 and 0", st.Commits, st.TotalAborts())
+	}
+	if got := h.ClockNow(); got != before+1 {
+		t.Errorf("commit ticked the clock %d times, want 1", got-before)
 	}
 }
 

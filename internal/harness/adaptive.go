@@ -82,7 +82,6 @@ func AdaptivePhaseShift(cfg Config, threads int, mode AdaptiveMode) PhaseResult 
 		EnableTLE:       true,
 		MaxRetries:      1,
 		GlobalFallback:  mode == AdaptiveGlobal,
-		Adaptive:        mode == AdaptiveTuned,
 		YieldEvery:      cfg.YieldEvery,
 		NoMaxLive:       true,
 	})

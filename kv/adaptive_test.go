@@ -82,9 +82,6 @@ func TestAdaptiveStoreLifecycle(t *testing.T) {
 	if tu == nil {
 		t.Fatal("adaptive store has no Tuner")
 	}
-	if !s.Heap().Adaptive() {
-		t.Fatal("adaptive store's heap is not adaptive")
-	}
 	if err := s.Put(bg, []byte("k"), []byte("v"), 0); err != nil {
 		t.Fatal(err)
 	}

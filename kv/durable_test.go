@@ -178,7 +178,11 @@ func TestSnapshotDuringWrites(t *testing.T) {
 	}
 	wg.Wait()
 	// Wait out any in-flight automatic snapshot, then take one more by hand
-	// (covers the snapshot-path-then-crash case), then crash mid-life.
+	// (covers the snapshot-path-then-crash case), then crash mid-life. The
+	// wait matters: the crashed store is never closed, so a snapshot still
+	// running after Crash would keep renaming and pruning files underneath
+	// the recovery below — something a really crashed process cannot do.
+	s.snapWG.Wait()
 	if _, err := s.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}

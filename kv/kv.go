@@ -93,8 +93,9 @@ type Config struct {
 	// keeps the engine busy).
 	PoolThreads int
 
-	// GlobalFallback selects the paper's global TLE fallback lock instead of
-	// the default fine-grained per-word lock-set (comparison benchmarks).
+	// GlobalFallback starts the heap on the paper's global TLE fallback lock
+	// instead of the default fine-grained per-word lock-set (comparison
+	// benchmarks; a Tuner may still switch it).
 	GlobalFallback bool
 
 	// MaxRetries overrides the engine's retry budget before an operation
@@ -102,28 +103,16 @@ type Config struct {
 	// raise it to keep operations on the killable hardware path longer.
 	MaxRetries int
 
-	// ClockShards shards the heap's version clock (htm.Config.ClockShards):
-	// commits tick a per-thread home shard instead of one global word.
-	// 0/1 selects the single scalar clock.
-	ClockShards int
-
-	// StripeShift maintains one metadata word per 2^StripeShift heap words
-	// (htm.Config.StripeShift): less metadata memory and one commit CAS per
-	// stripe, bought with false conflicts between neighboring entries.
-	// 0 keeps per-word metadata.
-	StripeShift int
-
 	// Faults attaches a seeded fault-injection plan to the backing heap (see
 	// htm.FaultPlan) — the chaos harness's adversity dial. nil injects
 	// nothing.
 	Faults *htm.FaultPlan
 
-	// Adaptive, when non-nil, arms the heap's runtime contention knobs
-	// (htm.Config.Adaptive) and attaches an htm.Tuner to the store: the
-	// fallback mode, spin budget and dedup threshold self-tune from live
-	// abort feedback, and the admission Governor (if the server enables one)
-	// tracks the heap's abort mix instead of using a static storm threshold.
-	// nil keeps every knob static — bit-for-bit the non-adaptive engine.
+	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the heap's
+	// runtime fallback mode, spin budget and dedup threshold self-tune from
+	// live abort feedback, and the admission Governor (if the server enables
+	// one) tracks the heap's abort mix instead of using a static storm
+	// threshold. nil keeps every knob at its seeded value.
 	Adaptive *AdaptiveConfig
 
 	// Durability, when non-nil, attaches a write-ahead commit log and

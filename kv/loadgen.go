@@ -3,6 +3,7 @@ package kv
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
@@ -160,15 +161,18 @@ func (w *loadWorker) do(ctx context.Context, op int) bool {
 		return true
 	}
 	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if op == 3 {
-		// Advance the scan cursor a page per scan, wrapping at the end; the
-		// paging itself is exercised without parsing the body on the hot path.
-		w.cursor += scanSlotWindow
-		if w.cursor >= 1<<30 {
-			w.cursor = 0
+	if op == 3 && resp.StatusCode == http.StatusOK {
+		// Follow the page's cursor, wrapping to the first page after the
+		// last, so successive scans walk the whole index again and again.
+		var page scanResponse
+		if json.NewDecoder(resp.Body).Decode(&page) == nil {
+			w.cursor = page.Next
+			if page.Done {
+				w.cursor = 0
+			}
 		}
 	}
+	io.Copy(io.Discard, resp.Body)
 	return resp.StatusCode >= 400 && resp.StatusCode != http.StatusNotFound
 }
 

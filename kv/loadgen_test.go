@@ -2,6 +2,10 @@ package kv
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -81,5 +85,80 @@ func TestRunLoadCoversEverySeries(t *testing.T) {
 	diff := harness.DiffReports(rep, rep2, 1e9) // huge threshold: shape only
 	if diff.MissingInNew > 0 {
 		t.Fatalf("identical config lost coverage: %d points missing", diff.MissingInNew)
+	}
+}
+
+// TestLoadWorkerScanFollowsCursor drives consecutive worker SCANs against a
+// seeded server whose index spans several scan windows. The worker must
+// follow each page's next cursor, wrap to 0 on done, and keep seeing the
+// seeded keys on the pages after the wrap — every pass over the index
+// returns each key exactly once.
+func TestLoadWorkerScanFollowsCursor(t *testing.T) {
+	const keys = 300
+	store := NewStore(Config{Slots: 4 * scanSlotWindow})
+	for i := 0; i < keys; i++ {
+		if err := store.Put(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v"), 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Record every page the server sends, as the worker received it.
+	type page struct {
+		cursor string
+		resp   scanResponse
+	}
+	var pages []page
+	sv := NewServer(store)
+	ts := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		sv.ServeHTTP(rec, r)
+		var p page
+		p.cursor = r.URL.Query().Get("cursor")
+		if err := json.Unmarshal(rec.Body.Bytes(), &p.resp); err != nil {
+			t.Errorf("scan page: %v", err)
+		}
+		pages = append(pages, p)
+		rw.WriteHeader(rec.Code)
+		rw.Write(rec.Body.Bytes())
+	}))
+	defer ts.Close()
+
+	w := &loadWorker{
+		cfg:    LoadConfig{ScanLimit: 64}.withDefaults(),
+		client: ts.Client(),
+		base:   ts.URL,
+		rng:    rand.New(rand.NewSource(1)),
+	}
+	for passes := 0; passes < 3; {
+		if failed := w.do(bg, 3); failed {
+			t.Fatalf("scan %d failed", len(pages))
+		}
+		if pages[len(pages)-1].resp.Done {
+			passes++
+		}
+		if len(pages) > 1000 {
+			t.Fatal("scan cursor never wrapped")
+		}
+	}
+	// Split the page log into passes at each wrap and check every pass.
+	seen := map[string]bool{}
+	pass, want := 0, uint64(0)
+	for i, p := range pages {
+		if p.cursor != fmt.Sprint(want) {
+			t.Fatalf("page %d requested cursor %s, want %d", i, p.cursor, want)
+		}
+		for _, kv := range p.resp.Pairs {
+			if seen[string(kv.Key)] {
+				t.Fatalf("pass %d: key %s returned twice", pass, kv.Key)
+			}
+			seen[string(kv.Key)] = true
+		}
+		want = p.resp.Next
+		if p.resp.Done {
+			if len(seen) != keys {
+				t.Fatalf("pass %d returned %d keys, want %d", pass, len(seen), keys)
+			}
+			seen = map[string]bool{}
+			pass, want = pass+1, 0
+		}
 	}
 }

@@ -69,7 +69,7 @@ type Store struct {
 	closed    atomic.Bool
 
 	// tuner is the heap's contention controller (Config.Adaptive; nil when
-	// the store runs static). Owned by the store: started at construction,
+	// the store's knobs stay at their seeded values). Owned by the store: started at construction,
 	// stopped by Close.
 	tuner *htm.Tuner
 }
@@ -93,10 +93,7 @@ func newStoreCore(cfg Config) *Store {
 		GlobalFallback:  cfg.GlobalFallback,
 		AllowAllocInTxn: false, // entries are pre-allocated, Rock-style
 		MaxRetries:      cfg.MaxRetries,
-		ClockShards:     cfg.ClockShards,
-		StripeShift:     cfg.StripeShift,
 		Faults:          cfg.Faults,
-		Adaptive:        cfg.Adaptive != nil,
 	})
 	s := &Store{
 		cfg:  cfg,

@@ -63,18 +63,18 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 		"./cmd/kvload":           {"-help"},
 		// A real (tiny) chaos run: deterministic shadow-model phase plus the
 		// overload sweep, exit 0 = model, sweep and determinism checks passed.
-		// Runs with the sharded clock and a pinned (observe-only) tuner so the
-		// determinism contract is exercised at shards>1 with the tuner's
-		// sampling goroutine live on every test invocation (CI also runs it
-		// unsharded, and runs the pinned same-seed pair under -race).
-		"./cmd/chaoskv": {"-seed", "1", "-ops", "300", "-duration", "30ms", "-clients", "4", "-clock-shards", "2", "-adapt-pinned"},
+		// Runs with a pinned (observe-only) tuner so the determinism contract
+		// is exercised with the tuner's sampling goroutine live on every test
+		// invocation (CI also runs it without, and runs both same-seed pairs
+		// under -race).
+		"./cmd/chaoskv": {"-seed", "1", "-ops", "300", "-duration", "30ms", "-clients", "4", "-adapt-pinned"},
 		// A real (tiny) crash run: two SIGKILL/restart cycles plus the torn
 		// and mid-log phases against a real kvserver process; exit 0 = zero
 		// acknowledged-write loss and the refuse-to-start contract held.
 		"./cmd/crashkv": {"-quick", "-seed", "1", "-cycles", "2", "-clients", "2", "-keys", "8"},
 		// Self-diff of the committed snapshot: must exit 0 (no regressions,
 		// no shrunken coverage).
-		"./cmd/benchtrend": {"-fail-shrunk", "BENCH_PR10.json", "BENCH_PR10.json"},
+		"./cmd/benchtrend": {"-fail-shrunk", "BENCH_PR12.json", "BENCH_PR12.json"},
 	}
 
 	pkgs := discoverPackages(t, "cmd", "examples")
@@ -124,6 +124,44 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 			}
 		})
 	}
+
+	// BENCH_PR10.json -> BENCH_PR12.json is the one link where coverage
+	// shrinks on purpose: the single-clock, per-word-metadata engine retired
+	// the clock-shard and stripe-shift knobs and with them exactly these two
+	// figures. Every other point the older snapshot recorded must still be
+	// covered.
+	t.Run("coverage-chain/BENCH_PR10.json->BENCH_PR12.json", func(t *testing.T) {
+		retired := map[string]bool{
+			"Sharded clock: disjoint read-write commits [ops/us]": true,
+			"Stripe knob: neighbor-word commits, 8 threads":       true,
+		}
+		oldR, err := harness.ReadJSONFile("BENCH_PR10.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		newR, err := harness.ReadJSONFile("BENCH_PR12.json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept := oldR.Tables[:0:0]
+		for _, tab := range oldR.Tables {
+			if !retired[tab.Title] {
+				kept = append(kept, tab)
+			}
+		}
+		if len(oldR.Tables)-len(kept) != len(retired) {
+			t.Fatalf("BENCH_PR10.json holds %d of the %d retired tables", len(oldR.Tables)-len(kept), len(retired))
+		}
+		for _, tab := range newR.Tables {
+			if retired[tab.Title] {
+				t.Errorf("BENCH_PR12.json still records retired table %q", tab.Title)
+			}
+		}
+		oldR.Tables = kept
+		if d := harness.DiffReports(oldR, newR, 1e9); d.MissingInNew != 0 {
+			t.Errorf("BENCH_PR12.json lost %d points beyond the retired tables", d.MissingInNew)
+		}
+	})
 }
 
 // TestSmokeFallbackbenchAppendReplaces runs fallbackbench -json twice into the
