@@ -15,7 +15,7 @@
 //     abort and op counts plus a model hash). CI additionally diffs the
 //     fingerprint across two whole process runs. With -adapt-pinned the
 //     store runs its contention Tuner enabled but pinned — sampling epochs
-//     tick on a real timer, yet no knob is ever written — and the
+//     tick on a real timer, yet the mode is never switched — and the
 //     fingerprint must STILL replay exactly: the proof that the adaptive
 //     machinery itself perturbs nothing.
 //
@@ -228,8 +228,8 @@ type scanPage struct {
 // -seed; the workload stream is an independent xorshift from the same seed.
 // adaptPinned additionally runs the contention Tuner in pinned mode: its
 // sampling goroutine ticks on real time (epoch counts vary run to run and
-// stay OUT of the fingerprint), but it never writes a knob, so every counter
-// that IS fingerprinted must be untouched by its presence.
+// stay OUT of the fingerprint), but it never switches the mode, so every
+// counter that IS fingerprinted must be untouched by its presence.
 func deterministicRun(seed uint64, ops int, adaptPinned bool) (string, error) {
 	plan := &htm.FaultPlan{
 		Seed:         seed,

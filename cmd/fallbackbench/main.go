@@ -5,12 +5,11 @@
 // and on fully shared footprints. A second table measures what persistent
 // fallback traffic costs concurrently running hardware transactions — under
 // the global lock every hardware begin waits out every fallback critical
-// section; under the fine-grained fallback it never waits. A third table
-// sweeps the FallbackSpins knob. The final table is the adaptive-contention
-// figure: the phase-shift workload (footprints alternate
-// between disjoint and fully shared mid-run) under both static fallback
-// configurations and the online Tuner, which should match the best static
-// choice in each phase.
+// section; under the fine-grained fallback it never waits. The final table
+// is the adaptive-contention figure: the phase-shift workload (footprints
+// alternate between disjoint and fully shared mid-run) under both static
+// fallback configurations and the online Tuner, which should match the best
+// static choice in each phase.
 //
 // With -json the tables are written as a machine-readable harness.Report;
 // with -append they are merged into an existing report file instead (so CI
@@ -64,17 +63,13 @@ func run() int {
 	fmt.Println(scaling.Render())
 	interference := harness.FallbackInterferenceTable(cfg, tc)
 	fmt.Println(interference.Render())
-	// The spins sweep runs at a fixed thread count (capped by -threads) so
-	// quick and full runs cover the same axis.
-	spinsThreads := 8
-	if spinsThreads > *threads {
-		spinsThreads = *threads
+	// The adaptive-contention figure runs at a fixed thread count (capped by
+	// -threads) so quick and full runs cover the same axis.
+	phaseThreads := 8
+	if phaseThreads > *threads {
+		phaseThreads = *threads
 	}
-	spinsSweep := harness.FallbackSpinsSweep(cfg, spinsThreads, []int{0, 32, 128, 512})
-	fmt.Println(spinsSweep.Render())
-	// Adaptive-contention figure: phase-shift throughput at the same fixed
-	// thread count as the spins sweep.
-	adaptiveTable := harness.AdaptiveScaling(cfg, spinsThreads)
+	adaptiveTable := harness.AdaptiveScaling(cfg, phaseThreads)
 	fmt.Println(adaptiveTable.Render())
 
 	if *jsonOut != "" {
@@ -92,7 +87,6 @@ func run() int {
 		rep.SetConfig("fallback_threads", fmt.Sprint(*threads))
 		rep.AddTable(scaling)
 		rep.AddTable(interference)
-		rep.AddTable(spinsSweep)
 		rep.AddTable(adaptiveTable)
 		if err := rep.WriteJSONFile(*jsonOut); err != nil {
 			fmt.Fprintf(os.Stderr, "fallbackbench: write %s: %v\n", *jsonOut, err)

@@ -12,7 +12,7 @@
 //	         [-pool N] [-max-value 4096] [-sweep 2s] [-job-workers 2]
 //	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
 //	         [-admission] [-req-timeout 0] [-max-retries 0]
-//	         [-adapt] [-adapt-interval 25ms]
+//	         [-adapt]
 //	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]
@@ -22,9 +22,9 @@
 // heap — the chaos knobs, usable against a live server; -admission turns on
 // load shedding (503 + Retry-After under pool saturation or abort storms)
 // and -req-timeout bounds each request's store operation. -adapt attaches
-// the online contention tuner (htm.Tuner): the fallback mode, spin budget
-// and dedup threshold self-tune from live abort feedback, and with
-// -admission the governor's storm threshold tracks the heap's abort mix.
+// the online contention tuner (htm.Tuner): the fallback mode self-tunes
+// from live abort feedback, and with -admission the governor's storm
+// threshold tracks the heap's abort mix.
 //
 // -wal-dir turns on durability: acknowledged mutations are written to a
 // CRC-framed commit log before the response goes out, snapshots truncate old
@@ -72,8 +72,7 @@ func run() int {
 	admission := flag.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
 	maxRetries := flag.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := flag.Bool("adapt", false, "self-tune fallback mode, spin budget and dedup threshold from live abort feedback")
-	adaptInterval := flag.Duration("adapt-interval", 0, "tuning epoch length with -adapt (0 = engine default, 25ms)")
+	adapt := flag.Bool("adapt", false, "self-tune the TLE fallback mode (fine-grained or global lock) from live abort feedback")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := flag.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
 	faultAccess := flag.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
@@ -112,7 +111,7 @@ func run() int {
 		Faults:         plan,
 	}
 	if *adapt {
-		cfg.Adaptive = &kv.AdaptiveConfig{Interval: *adaptInterval}
+		cfg.Adaptive = &kv.AdaptiveConfig{}
 	}
 	if *walDir != "" {
 		cfg.Durability = &kv.Durability{
@@ -172,8 +171,7 @@ func run() int {
 	// signal, and with -addr :0 it is the only way to learn the chosen port.
 	adaptState := "off"
 	if tu := store.Tuner(); tu != nil {
-		st := tu.State()
-		adaptState = fmt.Sprintf("mode=%s spins=%d dedup=%d", st.Mode, st.FallbackSpins, st.DedupBypass)
+		adaptState = "mode=" + tu.State().Mode.String()
 	}
 	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
 		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)

@@ -2,18 +2,11 @@ package htm
 
 import "runtime"
 
-// Runtime contention management. Three decisions are runtime words rather
-// than construction-time ones, all safe to change under full concurrent load;
-// Config.GlobalFallback, FallbackSpins and DedupBypass only seed them:
-//
-//   - The TLE fallback MODE (fine-grained lock-set vs. the global lock) is a
-//     word consulted at fallback entry (SetFallbackMode).
-//   - The fallback spin bound and the read-set dedup threshold are atomic
-//     words every transaction attempt re-reads at begin (SetFallbackSpins,
-//     SetDedupBypass).
-//
-// A Tuner (Heap.StartTuner) drives all three from abort feedback; without
-// one they keep their seeded values.
+// Runtime contention management. The TLE fallback MODE (fine-grained
+// lock-set vs. the global lock) is a runtime word consulted at fallback
+// entry, safe to change under full concurrent load (SetFallbackMode);
+// Config.GlobalFallback only seeds it. A Tuner (Heap.StartTuner) drives it
+// from abort feedback; without one it keeps its seeded value.
 //
 // The hard problem is the mode switch: the global-lock fallback writes
 // memory IN PLACE and is correct only while it is mutually exclusive with
@@ -92,37 +85,6 @@ func (h *Heap) SetFallbackMode(m FallbackMode) {
 // ModeSwitches returns the number of fallback-mode changes applied through
 // SetFallbackMode.
 func (h *Heap) ModeSwitches() uint64 { return h.modeSwitches.Load() }
-
-// FallbackSpins returns the effective out-of-order try-lock bound.
-func (h *Heap) FallbackSpins() int { return int(h.fbSpinsDyn.Load()) }
-
-// SetFallbackSpins overrides the FallbackSpins knob at runtime (clamped to
-// ≥ 0; 0 releases-and-retries immediately on any out-of-order collision).
-// Attempts pick the new value up at their next begin.
-func (h *Heap) SetFallbackSpins(v int) {
-	if v < 0 {
-		v = 0
-	}
-	h.fbSpinsDyn.Store(int64(v))
-}
-
-// DedupBypass returns the effective read-set dedup engagement threshold.
-func (h *Heap) DedupBypass() int { return int(h.dedupDyn.Load()) }
-
-// SetDedupBypass overrides the DedupBypass knob at runtime. The value is
-// clamped exactly as the static knob resolves: never negative and never
-// above MaxReadSet/2, preserving the guarantee that a transaction whose
-// distinct read set fits MaxReadSet never aborts with AbortCapacity.
-// Attempts pick the new value up at their next begin.
-func (h *Heap) SetDedupBypass(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if mrs := h.cfg.MaxReadSet; mrs >= 0 && v > mrs/2 {
-		v = mrs / 2
-	}
-	h.dedupDyn.Store(int64(v))
-}
 
 // enterFineFallback publishes this thread's intent to run a fine-grained
 // fallback (inFine=1) and then consults the mode word and the global

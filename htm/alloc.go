@@ -228,7 +228,7 @@ func (al *allocator) alloc(th *Thread, size int) Addr {
 	}
 	bump(&th.cell.allocCalls)
 	bumpBy(&th.cell.allocWords, uint64(size))
-	if h.cfg.trackMaxLive {
+	if !h.cfg.NoMaxLive {
 		live := h.stats.liveWords.Add(uint64(size))
 		for {
 			m := h.stats.maxLiveWords.Load()
@@ -302,7 +302,7 @@ func (al *allocator) free(th *Thread, a Addr) {
 	}
 	bump(&th.cell.freeCalls)
 	bumpBy(&th.cell.freeWords, uint64(size))
-	if h.cfg.trackMaxLive {
+	if !h.cfg.NoMaxLive {
 		h.stats.liveWords.Add(^uint64(size - 1))
 	}
 	if size <= maxMagSize {

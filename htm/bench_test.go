@@ -88,45 +88,6 @@ func BenchmarkTxnRepeatedLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkDedupBypassSweep sweeps Config.DedupBypass over a repeat-heavy
-// transaction (the shape of Fig. 5's telescoping collects: a small distinct
-// working set loaded many times per attempt, then one store so commit
-// validates). The bypass threshold trades duplicate read entries to compact
-// (high values) against per-load filter bookkeeping (low values); this sweep
-// is the empirical input for tuning the default, per ROADMAP.
-func BenchmarkDedupBypassSweep(b *testing.B) {
-	for _, bp := range []struct {
-		name string
-		knob int
-	}{
-		{"engage=0", -1}, // filtered from the first read (PR 3 behaviour)
-		{"cap=64", 64},
-		{"cap=256", 256},
-		{"cap=1024", 1024},
-		{"cap=4096", 4096}, // the default
-	} {
-		b.Run(bp.name, func(b *testing.B) {
-			h := NewHeap(Config{Words: 1 << 16, DedupBypass: bp.knob})
-			th := h.NewThread()
-			const words = 16
-			a := th.Alloc(words)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				th.Atomic(func(t *Txn) {
-					var s uint64
-					for rep := 0; rep < 64; rep++ {
-						for w := 0; w < words; w++ {
-							s += t.Load(a + Addr(w))
-						}
-					}
-					t.Store(a, s)
-				})
-			}
-		})
-	}
-}
-
 // BenchmarkFallbackOverflow measures the contended-overflow path at the
 // substrate level: every operation overflows a tiny store buffer and
 // completes on the TLE fallback, with all goroutines writing DISJOINT

@@ -41,7 +41,10 @@ type Config struct {
 	// MaxReadSet bounds the transactional read set; exceeding it aborts with
 	// AbortCapacity. Rock tracks reads in the L1 cache, which is large
 	// relative to the store buffer, so the default is generous (1<<16).
-	// Set to a negative value for an unbounded read set.
+	// Set to a negative value for an unbounded read set. Read-set dedup
+	// engages once an attempt holds min(4096, MaxReadSet/2) entries, so a
+	// transaction whose DISTINCT read set fits MaxReadSet never aborts with
+	// AbortCapacity (see Txn's dedup field).
 	MaxReadSet int
 
 	// NoSandbox disables Rock-style sandboxing. Sandboxed (the default), a
@@ -81,18 +84,6 @@ type Config struct {
 	// contention management"). Only meaningful with EnableTLE.
 	GlobalFallback bool
 
-	// DedupBypass seeds the runtime read-set dedup threshold
-	// (Heap.SetDedupBypass overrides it): how many (possibly duplicated) read
-	// entries a transaction attempt may append before read-set deduplication
-	// engages (see Txn's dedup field). Larger values keep repeat-heavy
-	// transactions on the zero-bookkeeping bypass path longer at the cost of
-	// more duplicate entries to compact; smaller values engage the 512-bit
-	// filter earlier. 0 selects the default (4096); negative engages dedup from
-	// the first read. Whatever the value, the effective threshold never exceeds
-	// MaxReadSet/2, which is what preserves the guarantee that a transaction
-	// whose distinct read set fits MaxReadSet never aborts with AbortCapacity.
-	DedupBypass int
-
 	// NoMaxLive disables exact high-water tracking, removing the last
 	// globally shared counters from the allocation fast path. Stats then
 	// derives LiveWords from the per-thread cells and MaxLiveWords becomes
@@ -101,17 +92,6 @@ type Config struct {
 	// across cells and over- or under-state them. Throughput-only runs set
 	// this; space-measured runs must leave it unset.
 	NoMaxLive bool
-
-	// FallbackSpins seeds the runtime out-of-order spin bound
-	// (Heap.SetFallbackSpins overrides it): how long the fine-grained TLE
-	// fallback spins on a locked word it reached OUT OF ADDRESS ORDER before
-	// engaging the deadlock-avoidance release-and-retry protocol (drop the
-	// whole lock-set, re-run the body). In-order acquisitions spin
-	// indefinitely — they cannot deadlock. 0 selects the default (128, see
-	// defaultFallbackSpins); negative releases-and-retries immediately on any
-	// out-of-order collision (maximally paranoid, maximally
-	// re-execution-happy). Only meaningful with EnableTLE.
-	FallbackSpins int
 
 	// Faults attaches a seeded fault-injection plan (see FaultPlan). nil — the
 	// default — injects nothing and costs one pointer check per transactional
@@ -128,17 +108,6 @@ type Config struct {
 	// conflict/abort gradient the paper sweeps is reproduced. Benchmarks set
 	// this; unit tests of engine semantics leave it 0.
 	YieldEvery int
-
-	// sandboxed is the derived internal form of !NoSandbox, set by
-	// withDefaults so the zero Config is Rock-like.
-	sandboxed bool
-
-	// trackMaxLive is the derived internal form of !NoMaxLive: exact
-	// LiveWords/MaxLiveWords maintenance on the alloc/free path (a globally
-	// shared live counter plus a CAS high-water loop per allocation), which
-	// is what the paper's space figures need. Set by withDefaults so the
-	// zero Config is exact.
-	trackMaxLive bool
 }
 
 func (c Config) withDefaults() Config {
@@ -154,36 +123,5 @@ func (c Config) withDefaults() Config {
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = defaultMaxRetries
 	}
-	c.sandboxed = !c.NoSandbox
-	c.trackMaxLive = !c.NoMaxLive
 	return c
-}
-
-// fallbackSpins resolves the FallbackSpins knob: the out-of-order try-lock
-// spin bound used by the fine-grained fallback's deadlock avoidance.
-func (c Config) fallbackSpins() int {
-	switch {
-	case c.FallbackSpins > 0:
-		return c.FallbackSpins
-	case c.FallbackSpins < 0:
-		return 0
-	default:
-		return defaultFallbackSpins
-	}
-}
-
-// dedupBypassThreshold resolves the DedupBypass knob against MaxReadSet: the
-// read-set length at which an attempt switches from bypass to filtered mode.
-func (c Config) dedupBypassThreshold() int {
-	cap := bypassReadCap
-	switch {
-	case c.DedupBypass > 0:
-		cap = c.DedupBypass
-	case c.DedupBypass < 0:
-		cap = 0
-	}
-	if mrs := c.MaxReadSet; mrs >= 0 && mrs/2 < cap {
-		return mrs / 2
-	}
-	return cap
 }

@@ -165,13 +165,13 @@ func TestFaultDeterminism(t *testing.T) {
 
 // TestFallbackStallNoDeadlock is the adversity proof: every fallback commit
 // stalls holding its full lock-set and delays its release, footprints overlap
-// and acquisition orders collide, and yet every operation terminates. Run
+// and acquisition orders collide — so out-of-order acquisitions exhaust the
+// spin bound and release-and-retry — and yet every operation terminates. Run
 // under -race in CI.
 func TestFallbackStallNoDeadlock(t *testing.T) {
 	plan := FaultPlan{Seed: 7, StallProb: 1, StallSpins: 8, ReleaseDelay: 4}
 	cfg := overflowCfg() // every multi-word write goes straight to fallback
 	cfg.Faults = &plan
-	cfg.FallbackSpins = 4 // tight bound: exercise release-and-retry hard
 	h := newTestHeap(t, cfg)
 	setup := h.NewThread()
 	words := setup.Alloc(8)
@@ -210,6 +210,9 @@ func TestFallbackStallNoDeadlock(t *testing.T) {
 	if s.FallbackStalls == 0 {
 		t.Error("StallProb=1 produced no recorded stalls")
 	}
+	if s.FallbackRetries == 0 {
+		t.Error("no release-and-retry ran: the footprints never collided out of order")
+	}
 	if s.FallbackRuns != goroutines*opsEach {
 		t.Errorf("FallbackRuns = %d, want %d (every op must complete on the fallback)",
 			s.FallbackRuns, goroutines*opsEach)
@@ -241,22 +244,13 @@ func TestSweepMeta(t *testing.T) {
 	}
 }
 
-// TestFallbackSpinsKnob pins the knob's resolution (0 = default, negative =
-// no out-of-order spinning) and runs contended fallback traffic at the
-// paranoid setting to prove immediate release-and-retry still terminates.
+// TestFallbackSpinsKnob runs contended fallback traffic whose rotated
+// two-word footprints collide out of address order, at the constant
+// out-of-order spin bound (defaultFallbackSpins): release-and-retry must
+// actually run, and every operation must still terminate.
 func TestFallbackSpinsKnob(t *testing.T) {
-	if got := (Config{}).withDefaults().fallbackSpins(); got != defaultFallbackSpins {
-		t.Errorf("default FallbackSpins = %d, want %d", got, defaultFallbackSpins)
-	}
-	if got := (Config{FallbackSpins: 7}).fallbackSpins(); got != 7 {
-		t.Errorf("FallbackSpins=7 resolved to %d", got)
-	}
-	if got := (Config{FallbackSpins: -1}).fallbackSpins(); got != 0 {
-		t.Errorf("FallbackSpins=-1 resolved to %d, want 0", got)
-	}
-
 	cfg := overflowCfg()
-	cfg.FallbackSpins = -1
+	cfg.YieldEvery = 1 // holders deschedule mid-run, so runs overlap even on one CPU
 	h := newTestHeap(t, cfg)
 	words := h.NewThread().Alloc(4)
 	var wg sync.WaitGroup
@@ -268,15 +262,23 @@ func TestFallbackSpinsKnob(t *testing.T) {
 			th := h.NewThread()
 			for i := 0; i < 50; i++ {
 				th.Atomic(func(tx *Txn) {
-					tx.Store(words+Addr((g+i)%4), uint64(i))
-					tx.Store(words+Addr((g+i+1)%4), uint64(i))
+					// Every op writes all four words starting at a rotating
+					// offset, so any two concurrent ops whose rotations
+					// differ acquire each other's words out of order.
+					for k := 0; k < 4; k++ {
+						tx.Store(words+Addr((g+i+k)%4), uint64(i))
+					}
 				})
 			}
 		}()
 	}
 	wg.Wait()
-	if s := h.Stats(); s.FallbackRuns != 4*50 {
+	s := h.Stats()
+	if s.FallbackRuns != 4*50 {
 		t.Errorf("FallbackRuns = %d, want %d", s.FallbackRuns, 4*50)
+	}
+	if s.FallbackRetries == 0 {
+		t.Error("no release-and-retry ran: the footprints never collided out of order")
 	}
 }
 

@@ -108,13 +108,9 @@ type Heap struct {
 	fallbackMu  sync.Mutex
 
 	// Runtime contention-management words (see adaptive.go). fbMode is the
-	// fallback mode consulted at fallback entry; fbSpinsDyn / dedupDyn are
-	// the knob values threads refresh at begin; modeSwitches counts applied
-	// mode changes. Config.GlobalFallback, FallbackSpins and DedupBypass only
-	// seed them.
+	// fallback mode consulted at fallback entry (Config.GlobalFallback only
+	// seeds it); modeSwitches counts applied mode changes.
 	fbMode       atomic.Uint32
-	fbSpinsDyn   atomic.Int64
-	dedupDyn     atomic.Int64
 	modeSwitches atomic.Uint64
 
 	// Keeps the allocator's shared live counters (stats) off the cache line
@@ -132,6 +128,11 @@ type Heap struct {
 	// making the per-access decision a hash-and-compare, not a division.
 	ntAccesses    atomic.Uint64
 	ntYieldThresh uint64
+
+	// dedupAfter is the read-set length at which an attempt engages dedup:
+	// min(bypassReadCap, MaxReadSet/2). The MaxReadSet/2 clamp is what keeps
+	// the AbortCapacity guarantee (see Txn's dedup field).
+	dedupAfter int
 }
 
 // NewHeap creates a Heap with the given configuration (zero value for
@@ -147,8 +148,10 @@ func NewHeap(cfg Config) *Heap {
 	if cfg.GlobalFallback {
 		h.fbMode.Store(uint32(ModeGlobal))
 	}
-	h.fbSpinsDyn.Store(int64(cfg.fallbackSpins()))
-	h.dedupDyn.Store(int64(cfg.dedupBypassThreshold()))
+	h.dedupAfter = bypassReadCap
+	if mrs := cfg.MaxReadSet; mrs >= 0 && mrs/2 < h.dedupAfter {
+		h.dedupAfter = mrs / 2
+	}
 	h.alloc.init(h)
 	return h
 }

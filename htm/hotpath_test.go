@@ -47,71 +47,81 @@ func TestReadSetDedupLargeSet(t *testing.T) {
 	})
 }
 
-// TestDedupBypassThreshold pins the resolution of the Config.DedupBypass knob
-// against MaxReadSet: the configured cap wins until it would exceed
-// MaxReadSet/2, the bound that keeps the AbortCapacity guarantee intact.
+// TestDedupBypassThreshold pins the dedup threshold each thread's
+// descriptor carries: min(bypassReadCap, MaxReadSet/2). The MaxReadSet/2
+// clamp is what keeps the AbortCapacity guarantee intact.
 func TestDedupBypassThreshold(t *testing.T) {
 	cases := []struct {
-		knob, maxReadSet, want int
+		maxReadSet, want int
 	}{
-		{0, 0, bypassReadCap},               // all defaults (MaxReadSet 1<<16)
-		{0, 1000, 500},                      // MaxReadSet/2 below the cap
-		{256, 0, 256},                       // explicit cap
-		{1 << 20, 0, defaultMaxReadSet / 2}, // clamped to MaxReadSet/2
-		{-1, 0, 0},                          // dedup from the first read
-		{0, -1, bypassReadCap},              // unbounded reads: cap still bounds
-		{1 << 20, -1, 1 << 20},              // unbounded reads: knob taken as-is
+		{0, bypassReadCap},                       // default MaxReadSet (1<<16)
+		{1000, 500},                              // MaxReadSet/2 below the cap
+		{2*bypassReadCap - 2, bypassReadCap - 1}, // just below the cap
+		{2 * bypassReadCap, bypassReadCap},       // exactly the cap
+		{1, 0},                                   // dedup from the first read
+		{-1, bypassReadCap},                      // unbounded reads: cap still bounds
 	}
 	for _, c := range cases {
-		h := NewHeap(Config{Words: 1 << 10, DedupBypass: c.knob, MaxReadSet: c.maxReadSet})
-		if got := h.DedupBypass(); got != c.want {
-			t.Errorf("DedupBypass=%d MaxReadSet=%d: dedupAfter = %d, want %d",
-				c.knob, c.maxReadSet, got, c.want)
+		th := NewHeap(Config{Words: 1 << 10, MaxReadSet: c.maxReadSet}).NewThread()
+		if got := th.txn.dedupAfter; got != c.want {
+			t.Errorf("MaxReadSet=%d: dedupAfter = %d, want %d", c.maxReadSet, got, c.want)
 		}
 	}
 }
 
-// TestDedupBypassDisabledStillDedups: with the bypass disabled (negative
-// knob) every attempt runs in filtered mode from its first read — the PR 3
-// behaviour — and repeated loads still collapse to one entry each.
+// TestDedupBypassDisabledStillDedups: with a threshold of 0 (MaxReadSet 1)
+// the bypass is disabled — the attempt runs in filtered mode from its first
+// read — and repeated loads still collapse to one entry, so the distinct
+// read set fits MaxReadSet and the transaction never aborts for capacity.
 func TestDedupBypassDisabledStillDedups(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 4, DedupBypass: -1})
+	h := newTestHeap(t, Config{MaxReadSet: 1})
 	th := h.NewThread()
-	a := th.Alloc(4)
+	a := th.Alloc(1)
 	err := th.TryAtomic(func(tx *Txn) {
-		for rep := 0; rep < 100; rep++ {
-			for i := Addr(0); i < 4; i++ {
-				tx.Load(a + i)
-			}
+		tx.Load(a)
+		if !tx.dedup {
+			t.Error("dedup not engaged at the first read with threshold 0")
 		}
-		if tx.ReadSetSize() != 4 {
-			t.Errorf("ReadSetSize = %d, want 4", tx.ReadSetSize())
+		for rep := 0; rep < 100; rep++ {
+			tx.Load(a)
+		}
+		if tx.ReadSetSize() != 1 {
+			t.Errorf("ReadSetSize = %d, want 1", tx.ReadSetSize())
 		}
 	})
 	if err != nil {
-		t.Fatalf("distinct read set of 4 within MaxReadSet=4 aborted: %v", err)
+		t.Fatalf("distinct read set of 1 within MaxReadSet=1 aborted: %v", err)
 	}
 }
 
-// TestDedupBypassSmallCap drives an attempt across a small configured bypass
-// cap mid-transaction: the compaction must engage at the cap and the distinct
-// working set must stay within capacity.
+// TestDedupBypassSmallCap drives an attempt across a small threshold
+// (MaxReadSet 16 -> 8) mid-transaction: the compaction must engage at the
+// threshold and the distinct working set must stay within capacity.
 func TestDedupBypassSmallCap(t *testing.T) {
-	h := newTestHeap(t, Config{MaxReadSet: 64, DedupBypass: 8})
+	h := newTestHeap(t, Config{MaxReadSet: 16})
 	th := h.NewThread()
 	a := th.Alloc(4)
-	th.Atomic(func(tx *Txn) {
+	err := th.TryAtomic(func(tx *Txn) {
 		// 4 distinct words x 50 repeats = 200 loads; the bypass holds the
 		// first 8 entries (with duplicates), then compaction engages.
 		for rep := 0; rep < 50; rep++ {
 			for i := Addr(0); i < 4; i++ {
 				tx.Load(a + i)
 			}
+			if rep == 1 && tx.dedup {
+				t.Error("dedup engaged before the read set reached the threshold")
+			}
+		}
+		if !tx.dedup {
+			t.Error("dedup never engaged past the threshold")
 		}
 		if tx.ReadSetSize() != 4 {
 			t.Errorf("ReadSetSize = %d, want 4", tx.ReadSetSize())
 		}
 	})
+	if err != nil {
+		t.Fatalf("distinct read set of 4 within MaxReadSet=16 aborted: %v", err)
+	}
 }
 
 // TestReadSetCapacityStillEnforced checks that dedup did not weaken the

@@ -151,10 +151,9 @@ type Stats struct {
 	FallbackStalls uint64
 	// AllocCalls and FreeCalls count allocator operations.
 	AllocCalls, FreeCalls uint64
-	// DedupEngages counts transaction attempts that crossed the DedupBypass
-	// threshold and compacted their read set (see Config.DedupBypass). The
-	// Tuner reads its rate as the signal that the bypass budget is being
-	// exhausted.
+	// DedupEngages counts transaction attempts whose read set reached the
+	// dedup threshold, min(4096, MaxReadSet/2), and was compacted (see Txn's
+	// dedup field).
 	DedupEngages uint64
 	// ModeSwitches counts runtime fallback-mode changes applied through
 	// Heap.SetFallbackMode. It is a heap-level
@@ -239,7 +238,7 @@ func (h *Heap) Stats() Stats {
 			}
 		}
 	}
-	if h.cfg.trackMaxLive {
+	if !h.cfg.NoMaxLive {
 		s.LiveWords = h.stats.liveWords.Load()
 		s.MaxLiveWords = h.stats.maxLiveWords.Load()
 		return s
@@ -259,7 +258,7 @@ func (h *Heap) Stats() Stats {
 // ResetMaxLive resets the live-words high-water mark to the current live
 // count, so space measurements can be scoped to an experiment phase.
 func (h *Heap) ResetMaxLive() {
-	if h.cfg.trackMaxLive {
+	if !h.cfg.NoMaxLive {
 		h.stats.maxLiveWords.Store(h.stats.liveWords.Load())
 		return
 	}

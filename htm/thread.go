@@ -50,6 +50,7 @@ func (h *Heap) NewThread() *Thread {
 	th.txn.meta = h.meta
 	th.txn.yieldThresh = h.ntYieldThresh // same conversion as NT accesses
 	th.txn.maxReadSet = h.cfg.MaxReadSet
+	th.txn.dedupAfter = h.dedupAfter
 	th.txn.storeBufSize = h.cfg.StoreBufferSize
 	th.txn.fbOwner = id & fallbackOwnerMask
 	if h.cfg.Faults.enabled() {
@@ -113,18 +114,15 @@ func (th *Thread) backoff(attempt int) {
 func spinHint() {}
 
 // begin initializes the reusable transaction descriptor for an attempt: it
-// refreshes the tuned knobs — one uncontended load each; a Tuner may have
-// moved them since the last attempt — waits out any global-lock fallback
-// section, snapshotting the epoch it will bump, and reads the clock. In fine
-// mode the epoch never changes, so the wait is a single load; a concurrent
-// fine-grained fallback is visible to the transaction purely as locked
-// metadata words, exactly like any other conflicting writer.
+// waits out any global-lock fallback section, snapshotting the epoch it will
+// bump, and reads the clock. In fine mode the epoch never changes, so the
+// wait is a single load; a concurrent fine-grained fallback is visible to the
+// transaction purely as locked metadata words, exactly like any other
+// conflicting writer.
 func (th *Thread) begin() *Txn {
 	t := &th.txn
 	t.reset()
 	h := th.h
-	t.fbSpins = int(h.fbSpinsDyn.Load())
-	t.dedupAfter = int(h.dedupDyn.Load())
 	for {
 		seq := h.fallbackSeq.Load()
 		if seq&1 == 0 {

@@ -3,39 +3,26 @@ package htm
 import (
 	"sync"
 	"time"
-
-	"repro/internal/adapt"
 )
 
 // Tuner is the per-heap online contention controller: a background goroutine
-// that samples Stats deltas over short epochs and drives the heap's runtime
-// knobs (see adaptive.go) from live abort feedback —
+// that samples Stats deltas over short epochs and steers the heap's fallback
+// MODE (see adaptive.go) from live abort feedback. Sustained fallback traffic
+// whose contention ratio (lock-set collisions plus release-and-retries per
+// run) says footprints are fully shared switches the heap to the global lock
+// (which wins there — serializing one shared footprint beats N fallbacks
+// fighting over one lock-set); calm or periodic probe epochs switch it back
+// to fine-grained, so a workload whose phases alternate gets the best static
+// configuration of each phase without retuning.
 //
-//   - the fallback MODE: sustained fallback traffic whose contention ratio
-//     (lock-set collisions plus release-and-retries per run) says footprints
-//     are fully shared switches the heap to the global lock (which wins there
-//     — serializing one shared footprint beats N fallbacks fighting over one
-//     lock-set); calm or periodic probe epochs switch it back to
-//     fine-grained, so a workload whose phases alternate gets the best static
-//     configuration of each phase without retuning;
-//   - the FallbackSpins knob, grown while out-of-order collisions keep
-//     forcing retries and shrunk while they don't, via an adapt.Knob (the
-//     paper's §3.4 window aimed at a lock-acquisition budget instead of a
-//     telescoping step);
-//   - the DedupBypass knob, shrunk when capacity aborts appear and grown
-//     while attempts keep exhausting the bypass budget without them.
-//
-// A Tuner observes only aggregate counters and writes only the atomic knob
-// words, so it perturbs nothing it does not intend to; with Pinned it samples
-// and publishes epochs but never writes, which is what determinism harnesses
-// run. kv.Store attaches a fourth client through Observe: the overload
+// A Tuner observes only aggregate counters and writes only the mode word, so
+// it perturbs nothing it does not intend to; with Pinned it samples and
+// publishes epochs but never switches, which is what determinism harnesses
+// run. kv.Store attaches a second client through Observe: the overload
 // Governor tracks the epoch abort mix (see kv/overload.go).
 type Tuner struct {
 	h   *Heap
 	cfg TunerConfig
-
-	spins *adapt.Knob
-	dedup *adapt.Knob
 
 	mu        sync.Mutex
 	last      Stats
@@ -62,91 +49,84 @@ type TunerConfig struct {
 	// within a few tens of milliseconds.
 	Interval time.Duration
 
-	// Pinned arms the sampling loop but never writes a knob or switches a
-	// mode: epochs tick, State and observers see live data, decisions are
-	// suppressed. Determinism harnesses run enabled-but-pinned, proving the
-	// adaptive machinery itself perturbs nothing.
+	// Pinned arms the sampling loop but never switches the mode: epochs
+	// tick, State and observers see live data, decisions are suppressed.
+	// Determinism harnesses run enabled-but-pinned, proving the adaptive
+	// machinery itself perturbs nothing.
 	Pinned bool
+}
 
-	// MinFallbackRuns is the per-epoch evidence floor below which the epoch
+// The mode controller's fixed parameters.
+const (
+	// minFallbackRuns is the per-epoch evidence floor below which the epoch
 	// carries no mode evidence (too little traffic to judge). In fine mode
 	// the storm vote counts completed runs PLUS collisions (waits and
 	// retries) against it — a livelocked epoch completes almost nothing but
 	// collides constantly; in global mode, where collisions cannot occur, it
-	// is a floor on completed runs. Defaults to 32.
-	MinFallbackRuns uint64
+	// is a floor on completed runs.
+	minFallbackRuns = 32
 
-	// StormRatio is the per-epoch contention ratio — (FallbackWaits +
+	// stormRatio is the per-epoch contention ratio — (FallbackWaits +
 	// FallbackRetries) / FallbackRuns — at or above which an epoch votes that
 	// footprints are fully shared. FallbackWaits fires on any collision with
 	// a held lock-set (in-order convoys included), FallbackRetries only on
 	// the out-of-order release-and-retry path, so their sum sees storms that
 	// retries alone cannot: N threads hammering one block in the same address
-	// order never retry, they just queue. Defaults to 0.75 — most runs in the
-	// epoch queued behind another run's locks, the regime where
-	// BENCH_PR5.json shows the global lock winning.
-	StormRatio float64
+	// order never retry, they just queue. 0.75 means most runs in the epoch
+	// queued behind another run's locks, the regime where BENCH_PR5.json
+	// shows the global lock winning.
+	stormRatio = 0.75
 
-	// SwitchAfter is how many consecutive epochs of evidence a mode switch
+	// switchAfter is how many consecutive epochs of evidence a mode switch
 	// requires, in both directions. Hysteresis: one noisy epoch never flips
-	// the mode. Defaults to 2.
-	SwitchAfter int
+	// the mode.
+	switchAfter = 2
 
-	// ProbeEvery is how many busy global-mode epochs the Tuner serves before
+	// probeEvery is how many busy global-mode epochs the Tuner serves before
 	// probing fine-grained mode again. Under the global lock fallbacks never
 	// retry, so disjointness is unobservable from counters; the probe is the
 	// only way back, and its period is the controller's recovery latency when
 	// a shared phase ends. A probe that was wrong is cheap — probe stints
-	// sample at a quarter interval and forgo the SwitchAfter hysteresis, since
-	// a single storm epoch already refutes the probe's hypothesis — so the
-	// default probes aggressively. Defaults to 4.
-	ProbeEvery int
-}
+	// sample at an eighth of the interval and forgo the switchAfter
+	// hysteresis, since a single storm epoch already refutes the probe's
+	// hypothesis — so the controller probes aggressively.
+	probeEvery = 4
+
+	// stormCatastrophe is the contention ratio at or above which a SINGLE
+	// epoch switches the mode, bypassing switchAfter hysteresis. Hysteresis
+	// guards against flipping on noise, but ≥8 collisions per completed run
+	// on an epoch with real evidence volume is not noise — it is a storm
+	// dense enough that every epoch spent deliberating costs nearly an epoch
+	// of throughput. A wrong flip is bounded: the probe path returns to fine
+	// within probeEvery epochs.
+	stormCatastrophe = 8.0
+)
 
 func (c TunerConfig) withDefaults() TunerConfig {
 	if c.Interval <= 0 {
 		c.Interval = 25 * time.Millisecond
 	}
-	if c.MinFallbackRuns == 0 {
-		c.MinFallbackRuns = 32
-	}
-	if c.StormRatio <= 0 {
-		c.StormRatio = 0.75
-	}
-	if c.SwitchAfter <= 0 {
-		c.SwitchAfter = 2
-	}
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = 4
-	}
 	return c
 }
 
-// TunerEpoch is one epoch's worth of Stats deltas plus the knob state after
-// the epoch's decisions, as delivered to observers.
+// TunerEpoch is one epoch's worth of Stats deltas plus the mode after the
+// epoch's decision, as delivered to observers.
 type TunerEpoch struct {
 	// Counter deltas over the epoch.
 	Starts, Commits, Aborts       uint64
 	Conflicts, Spurious, Capacity uint64
 	FallbackRuns, FallbackRetries uint64
-	FallbackWaits                 uint64
-	FallbackLocks, DedupEngages   uint64
+	FallbackWaits, FallbackLocks  uint64
 	// AbortRate is Aborts/Starts for the epoch (0 when idle).
 	AbortRate float64
-	// RetryRatio is FallbackRetries/FallbackRuns for the epoch (0 when no
-	// fallback ran) — the out-of-order collision rate, which drives the
-	// FallbackSpins knob.
-	RetryRatio float64
 	// ContentionRatio is (FallbackWaits+FallbackRetries)/max(FallbackRuns, 1)
 	// for the epoch — the mode controller's shared-footprint signal (see
-	// TunerConfig.StormRatio). The max(…, 1) denominator keeps a
+	// stormRatio). The max(…, 1) denominator keeps a
 	// zero-completion collision storm (a retry livelock) reading as a huge
 	// ratio instead of vacuously calm.
 	ContentionRatio float64
-	// Knob state after this epoch's decisions applied.
-	Mode          FallbackMode
-	FallbackSpins int
-	DedupBypass   int
+	// Mode is the fallback mode after this epoch's decision applied.
+	Mode FallbackMode
 	// Epoch is the 1-based epoch ordinal; Pinned echoes the config.
 	Epoch  uint64
 	Pinned bool
@@ -166,33 +146,17 @@ func (h *Heap) StartTuner(cfg TunerConfig) *Tuner {
 // with Tick. Tests and single-stepped harnesses use this, StartTuner
 // everything else.
 func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
-	cfg = cfg.withDefaults()
-	maxDedup := bypassReadCap << 3
-	if mrs := h.cfg.MaxReadSet; mrs >= 0 && mrs/2 < maxDedup {
-		maxDedup = mrs / 2
+	return &Tuner{
+		h:    h,
+		cfg:  cfg.withDefaults(),
+		last: h.Stats(),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
-	minDedup := 64
-	if minDedup > maxDedup {
-		minDedup = maxDedup
-	}
-	spins := h.FallbackSpins()
-	if spins < 1 {
-		spins = 1
-	}
-	tu := &Tuner{
-		h:     h,
-		cfg:   cfg,
-		spins: adapt.NewKnob(1, 4096, spins),
-		dedup: adapt.NewKnob(minDedup, maxDedup, h.DedupBypass()),
-		last:  h.Stats(),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
-	}
-	return tu
 }
 
 // Observe registers f to be called after every epoch (pinned or not) with
-// that epoch's deltas and knob state. f runs on the Tuner goroutine and must
+// that epoch's deltas and mode. f runs on the Tuner goroutine and must
 // not block.
 func (tu *Tuner) Observe(f func(TunerEpoch)) {
 	tu.mu.Lock()
@@ -233,7 +197,7 @@ func (tu *Tuner) run() {
 // so a building storm is confirmed after a quarter of the damage. Hysteresis
 // keeps its sample count; only the wall-clock cost of gathering the
 // confirming samples shrinks, which is what makes both probing and
-// SwitchAfter affordable on a heap that is livelocking.
+// switchAfter affordable on a heap that is livelocking.
 func (tu *Tuner) interval() time.Duration {
 	tu.mu.Lock()
 	probing, storming := tu.probing, tu.stormStreak > 0
@@ -263,8 +227,6 @@ func (tu *Tuner) Tick() {
 		tu.decide(e)
 	}
 	e.Mode = tu.h.FallbackMode()
-	e.FallbackSpins = tu.h.FallbackSpins()
-	e.DedupBypass = tu.h.DedupBypass()
 	for _, f := range tu.observers {
 		f(e)
 	}
@@ -288,14 +250,10 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 		FallbackRetries: sub(s.FallbackRetries, tu.last.FallbackRetries),
 		FallbackWaits:   sub(s.FallbackWaits, tu.last.FallbackWaits),
 		FallbackLocks:   sub(s.FallbackLocks, tu.last.FallbackLocks),
-		DedupEngages:    sub(s.DedupEngages, tu.last.DedupEngages),
 	}
 	e.Aborts = sub(s.TotalAborts(), tu.last.TotalAborts())
 	if e.Starts > 0 {
 		e.AbortRate = float64(e.Aborts) / float64(e.Starts)
-	}
-	if e.FallbackRuns > 0 {
-		e.RetryRatio = float64(e.FallbackRetries) / float64(e.FallbackRuns)
 	}
 	// ContentionRatio divides by max(runs, 1), not runs: an epoch of pure
 	// collisions with ZERO completed runs is the severest storm there is — a
@@ -308,116 +266,69 @@ func (tu *Tuner) epochDelta(s Stats) TunerEpoch {
 	return e
 }
 
-// spinsGrowRatio and spinsShedRatio bound the FallbackSpins knob's votes: an
-// epoch whose out-of-order retry rate reaches spinsGrowRatio votes to double
-// the try-lock budget (riding a collision out is cheaper than re-running the
-// body), one below spinsShedRatio votes to halve it (budget going unused).
-const (
-	spinsGrowRatio = 0.25
-	spinsShedRatio = 0.05
-)
-
-// stormCatastrophe is the contention ratio at or above which a SINGLE epoch
-// switches the mode, bypassing SwitchAfter hysteresis. Hysteresis guards
-// against flipping on noise, but ≥8 collisions per completed run on an epoch
-// with real evidence volume is not noise — it is a storm dense enough that
-// every epoch spent deliberating costs nearly an epoch of throughput. A wrong
-// flip is bounded: the probe path returns to fine within ProbeEvery epochs.
-const stormCatastrophe = 8.0
-
-// decide applies one epoch of evidence to the mode controller and the knobs.
+// decide applies one epoch of evidence to the mode controller.
 func (tu *Tuner) decide(e TunerEpoch) {
 	h := tu.h
-	busy := e.FallbackRuns >= tu.cfg.MinFallbackRuns
+	if !h.cfg.EnableTLE {
+		return
+	}
+	busy := e.FallbackRuns >= minFallbackRuns
 	// The storm vote gates on evidence volume — completions PLUS collisions —
 	// because a dense enough storm stops completing runs altogether: gating on
 	// FallbackRuns alone would make the controller blind to exactly the
 	// livelock it exists to break. Under the global lock collisions are zero,
 	// so `busy` (completions) remains the right gate everywhere else.
-	stormBusy := e.FallbackRuns+e.FallbackWaits+e.FallbackRetries >= tu.cfg.MinFallbackRuns
+	stormBusy := e.FallbackRuns+e.FallbackWaits+e.FallbackRetries >= minFallbackRuns
 
-	// Mode controller. Fine mode watches the contention ratio — lock-set
-	// collisions plus release-and-retries per run: a sustained storm means
-	// the fallback footprints overlap so heavily that serializing them under
-	// the global lock is cheaper than the lock-set fighting. Global mode has
-	// no contention signal (the global lock serializes everything), so it
+	// Fine mode watches the contention ratio — lock-set collisions plus
+	// release-and-retries per run: a sustained storm means the fallback
+	// footprints overlap so heavily that serializing them under the global
+	// lock is cheaper than the lock-set fighting. Global mode has no
+	// contention signal (the global lock serializes everything), so it
 	// returns to fine either when fallback traffic dries up or via a
 	// periodic probe.
-	if h.cfg.EnableTLE {
-		switch h.FallbackMode() {
-		case ModeFine:
-			if stormBusy && e.ContentionRatio >= tu.cfg.StormRatio {
-				tu.stormStreak++
-				need := tu.cfg.SwitchAfter
-				// Two cases forgo hysteresis: a catastrophic ratio (see
-				// stormCatastrophe), and a probe stint — the probe is a
-				// hypothesis test, and one epoch of storm evidence already
-				// refutes it, so paying SwitchAfter livelocked epochs on every
-				// failed probe would make probing unaffordable.
-				if tu.probing || e.ContentionRatio >= stormCatastrophe {
-					need = 1
-				}
-				if tu.stormStreak >= need {
-					h.SetFallbackMode(ModeGlobal)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-					tu.probing = false
-				}
-			} else {
-				tu.stormStreak = 0
-				tu.probing = false // the probe survived an epoch: fine mode holds
+	switch h.FallbackMode() {
+	case ModeFine:
+		if stormBusy && e.ContentionRatio >= stormRatio {
+			tu.stormStreak++
+			need := switchAfter
+			// Two cases forgo hysteresis: a catastrophic ratio (see
+			// stormCatastrophe), and a probe stint — the probe is a
+			// hypothesis test, and one epoch of storm evidence already
+			// refutes it, so paying switchAfter livelocked epochs on every
+			// failed probe would make probing unaffordable.
+			if tu.probing || e.ContentionRatio >= stormCatastrophe {
+				need = 1
 			}
-		case ModeGlobal:
-			if !busy {
-				tu.calmStreak++
-				tu.globalEpochs = 0
-				if tu.calmStreak >= tu.cfg.SwitchAfter {
-					h.SetFallbackMode(ModeFine)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-				}
-			} else {
-				tu.calmStreak = 0
-				tu.globalEpochs++
-				if tu.globalEpochs >= tu.cfg.ProbeEvery {
-					// Probe: only fine-grained traffic can reveal that the
-					// footprints disjointed. If they did not, the storm streak
-					// rebuilds and the controller re-switches in SwitchAfter
-					// epochs.
-					h.SetFallbackMode(ModeFine)
-					tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
-					tu.probing = true
-				}
+			if tu.stormStreak >= need {
+				h.SetFallbackMode(ModeGlobal)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+				tu.probing = false
 			}
+		} else {
+			tu.stormStreak = 0
+			tu.probing = false // the probe survived an epoch: fine mode holds
 		}
-	}
-
-	// FallbackSpins knob: meaningful only for fine-mode traffic. Retries
-	// present in quantity → a longer out-of-order try-lock budget may ride a
-	// collision out instead of re-executing the body; retries rare → shed
-	// unused budget.
-	if busy && h.FallbackMode() == ModeFine {
-		changed := false
-		if e.RetryRatio >= spinsGrowRatio {
-			changed = tu.spins.RecordUp()
-		} else if e.RetryRatio < spinsShedRatio {
-			changed = tu.spins.RecordDown()
-		}
-		if changed {
-			h.SetFallbackSpins(tu.spins.Value())
-		}
-	}
-
-	// DedupBypass knob: capacity aborts mean the read-set bound is being
-	// hit — engage dedup earlier so duplicate entries never occupy capacity.
-	// Attempts repeatedly exhausting the bypass budget WITHOUT capacity
-	// pressure want the opposite: more bypass room before the compaction
-	// pause.
-	if e.Capacity > 0 {
-		if tu.dedup.RecordDown() {
-			h.SetDedupBypass(tu.dedup.Value())
-		}
-	} else if e.DedupEngages > 0 {
-		if tu.dedup.RecordUp() {
-			h.SetDedupBypass(tu.dedup.Value())
+	case ModeGlobal:
+		if !busy {
+			tu.calmStreak++
+			tu.globalEpochs = 0
+			if tu.calmStreak >= switchAfter {
+				h.SetFallbackMode(ModeFine)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+			}
+		} else {
+			tu.calmStreak = 0
+			tu.globalEpochs++
+			if tu.globalEpochs >= probeEvery {
+				// Probe: only fine-grained traffic can reveal that the
+				// footprints disjointed. If they did not, the storm streak
+				// rebuilds and the controller re-switches in switchAfter
+				// epochs.
+				h.SetFallbackMode(ModeFine)
+				tu.stormStreak, tu.calmStreak, tu.globalEpochs = 0, 0, 0
+				tu.probing = true
+			}
 		}
 	}
 }
@@ -433,9 +344,6 @@ type TunerState struct {
 	// changes applied so far.
 	Mode         FallbackMode
 	ModeSwitches uint64
-	// FallbackSpins and DedupBypass are the live knob values.
-	FallbackSpins int
-	DedupBypass   int
 }
 
 // State returns the Tuner's current summary.
@@ -444,11 +352,9 @@ func (tu *Tuner) State() TunerState {
 	epochs := tu.epochs
 	tu.mu.Unlock()
 	return TunerState{
-		Epochs:        epochs,
-		Pinned:        tu.cfg.Pinned,
-		Mode:          tu.h.FallbackMode(),
-		ModeSwitches:  tu.h.ModeSwitches(),
-		FallbackSpins: tu.h.FallbackSpins(),
-		DedupBypass:   tu.h.DedupBypass(),
+		Epochs:       epochs,
+		Pinned:       tu.cfg.Pinned,
+		Mode:         tu.h.FallbackMode(),
+		ModeSwitches: tu.h.ModeSwitches(),
 	}
 }

@@ -24,10 +24,11 @@ func newAdaptiveHeap(t testing.TB, cfg Config) *Heap {
 	return newTestHeap(t, cfg)
 }
 
-// TestAdaptiveAccessorsWorkOnPlainConfig: the runtime knobs and the Tuner
+// TestAdaptiveAccessorsWorkOnPlainConfig: the runtime mode and the Tuner
 // need no opt-in — on a heap built from a plain Config{EnableTLE: true} the
-// seeded values read back, every setter takes effect, a global-mode fallback
-// runs through the always-armed barrier, and a Tuner starts and stops.
+// seeded mode reads back, SetFallbackMode takes effect, a global-mode
+// fallback runs through the always-armed barrier, and a Tuner starts and
+// stops.
 func TestAdaptiveAccessorsWorkOnPlainConfig(t *testing.T) {
 	h := newTestHeap(t, Config{EnableTLE: true})
 	if got := h.FallbackMode(); got != ModeFine {
@@ -35,11 +36,6 @@ func TestAdaptiveAccessorsWorkOnPlainConfig(t *testing.T) {
 	}
 	if got := newTestHeap(t, Config{EnableTLE: true, GlobalFallback: true}).FallbackMode(); got != ModeGlobal {
 		t.Errorf("GlobalFallback heap FallbackMode = %v, want global", got)
-	}
-	h.SetFallbackSpins(7)
-	h.SetDedupBypass(7)
-	if h.FallbackSpins() != 7 || h.DedupBypass() != 7 {
-		t.Errorf("knobs = spins %d dedup %d, want 7 and 7", h.FallbackSpins(), h.DedupBypass())
 	}
 	h.SetFallbackMode(ModeGlobal)
 	if got := h.FallbackMode(); got != ModeGlobal {
@@ -62,44 +58,6 @@ func TestAdaptiveAccessorsWorkOnPlainConfig(t *testing.T) {
 			t.Fatal("tuner on a plain heap never ticked an epoch")
 		}
 		runtime.Gosched()
-	}
-}
-
-func TestAdaptiveKnobOverrides(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{MaxReadSet: 1 << 10})
-	if got := h.FallbackSpins(); got != defaultFallbackSpins {
-		t.Errorf("initial FallbackSpins = %d, want default %d", got, defaultFallbackSpins)
-	}
-	h.SetFallbackSpins(-5)
-	if got := h.FallbackSpins(); got != 0 {
-		t.Errorf("SetFallbackSpins(-5) → %d, want clamped 0", got)
-	}
-	h.SetFallbackSpins(999)
-	if got := h.FallbackSpins(); got != 999 {
-		t.Errorf("FallbackSpins = %d, want 999", got)
-	}
-	// Dedup override clamps to MaxReadSet/2, like the static resolution.
-	h.SetDedupBypass(1 << 20)
-	if got := h.DedupBypass(); got != 1<<10/2 {
-		t.Errorf("SetDedupBypass(1<<20) → %d, want MaxReadSet/2 = %d", got, 1<<10/2)
-	}
-	h.SetDedupBypass(128)
-	if got := h.DedupBypass(); got != 128 {
-		t.Errorf("DedupBypass = %d, want 128", got)
-	}
-
-	// New attempts observe the override: with the threshold forced to 0,
-	// every reading attempt engages dedup immediately.
-	h.SetDedupBypass(0)
-	th := h.NewThread()
-	a := th.Alloc(4)
-	th.Atomic(func(tx *Txn) {
-		for i := Addr(0); i < 4; i++ {
-			tx.Load(a + i)
-		}
-	})
-	if n := h.Stats().DedupEngages; n == 0 {
-		t.Error("DedupBypass=0 override did not engage dedup on a fresh attempt")
 	}
 }
 
@@ -278,18 +236,18 @@ func TestAdaptiveModeFlipStress(t *testing.T) {
 
 // Synthetic epoch helpers for driving the decision logic deterministically.
 func stormEpoch() TunerEpoch {
-	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 150, FallbackRetries: 100, RetryRatio: 1.0, ContentionRatio: 2.5}
+	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 150, FallbackRetries: 100, ContentionRatio: 2.5}
 }
 func busyCalmEpoch() TunerEpoch {
-	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 1, RetryRatio: 0, ContentionRatio: 0.01}
+	return TunerEpoch{FallbackRuns: 100, FallbackWaits: 1, ContentionRatio: 0.01}
 }
 func idleEpoch() TunerEpoch { return TunerEpoch{} }
 
 func TestTunerModeController(t *testing.T) {
 	h := newAdaptiveHeap(t, Config{})
-	tu := h.NewTuner(TunerConfig{SwitchAfter: 2, ProbeEvery: 3, MinFallbackRuns: 10})
+	tu := h.NewTuner(TunerConfig{})
 
-	// Hysteresis: one storm epoch is not enough.
+	// Hysteresis (switchAfter = 2): one storm epoch is not enough.
 	tu.decide(stormEpoch())
 	if h.FallbackMode() != ModeFine {
 		t.Fatal("switched to global after a single storm epoch")
@@ -313,15 +271,16 @@ func TestTunerModeController(t *testing.T) {
 		t.Fatal("rebuilt storm streak did not switch")
 	}
 
-	// Busy global epochs eventually probe fine again (ProbeEvery=3).
-	tu.decide(busyCalmEpoch())
-	tu.decide(busyCalmEpoch())
+	// Busy global epochs eventually probe fine again.
+	for i := 1; i < probeEvery; i++ {
+		tu.decide(busyCalmEpoch())
+	}
 	if h.FallbackMode() != ModeGlobal {
-		t.Fatal("probed before ProbeEvery busy epochs")
+		t.Fatal("probed before probeEvery busy epochs")
 	}
 	tu.decide(busyCalmEpoch())
 	if h.FallbackMode() != ModeFine {
-		t.Fatal("ProbeEvery busy global epochs did not probe fine")
+		t.Fatal("probeEvery busy global epochs did not probe fine")
 	}
 
 	// Calm traffic returns a global heap to fine without waiting for a probe.
@@ -338,10 +297,10 @@ func TestTunerModeController(t *testing.T) {
 // completed runs is the severest storm (a retry livelock) — the evidence gate
 // must count collisions, not just completions, the ratio must not read as
 // vacuously calm, and a catastrophic ratio must switch WITHOUT waiting out
-// SwitchAfter hysteresis (every deliberation epoch is a livelocked epoch).
+// switchAfter hysteresis (every deliberation epoch is a livelocked epoch).
 func TestTunerLivelockEpochIsStorm(t *testing.T) {
 	h := newAdaptiveHeap(t, Config{})
-	tu := h.NewTuner(TunerConfig{SwitchAfter: 2, MinFallbackRuns: 10})
+	tu := h.NewTuner(TunerConfig{})
 	livelock := TunerEpoch{FallbackRuns: 0, FallbackWaits: 300, FallbackRetries: 200, ContentionRatio: 500}
 	tu.decide(livelock)
 	if h.FallbackMode() != ModeGlobal {
@@ -351,22 +310,27 @@ func TestTunerLivelockEpochIsStorm(t *testing.T) {
 
 // TestTunerProbeRefutedInOneEpoch: a probe out of global mode is a hypothesis
 // test — one storm epoch refutes it and must re-switch immediately, not after
-// SwitchAfter more livelocked epochs. A probe that survives a calm epoch
+// switchAfter more livelocked epochs. A probe that survives a calm epoch
 // sheds the fast-refute state and gets full hysteresis again.
 func TestTunerProbeRefutedInOneEpoch(t *testing.T) {
 	h := newAdaptiveHeap(t, Config{})
-	tu := h.NewTuner(TunerConfig{SwitchAfter: 3, ProbeEvery: 2, MinFallbackRuns: 10})
+	tu := h.NewTuner(TunerConfig{})
+	probe := func() {
+		t.Helper()
+		for i := 0; i < probeEvery; i++ {
+			tu.decide(busyCalmEpoch())
+		}
+		if h.FallbackMode() != ModeFine {
+			t.Fatal("setup: probe did not switch to fine")
+		}
+	}
 
 	// Reach global mode via the catastrophe path, then probe out of it.
 	tu.decide(TunerEpoch{FallbackRuns: 10, FallbackWaits: 200, ContentionRatio: 20})
 	if h.FallbackMode() != ModeGlobal {
 		t.Fatal("setup: catastrophe epoch did not switch to global")
 	}
-	tu.decide(busyCalmEpoch())
-	tu.decide(busyCalmEpoch()) // ProbeEvery=2: probe back to fine
-	if h.FallbackMode() != ModeFine {
-		t.Fatal("setup: probe did not switch to fine")
-	}
+	probe()
 
 	// One ordinary (sub-catastrophe) storm epoch refutes the probe.
 	tu.decide(stormEpoch())
@@ -375,21 +339,18 @@ func TestTunerProbeRefutedInOneEpoch(t *testing.T) {
 	}
 
 	// Probe again; this time a calm epoch confirms fine mode, so a later
-	// storm pays full SwitchAfter hysteresis again.
-	tu.decide(busyCalmEpoch())
-	tu.decide(busyCalmEpoch())
-	if h.FallbackMode() != ModeFine {
-		t.Fatal("setup: second probe did not switch to fine")
-	}
+	// storm pays full switchAfter hysteresis again.
+	probe()
 	tu.decide(busyCalmEpoch()) // probe survives: fast-refute state sheds
-	tu.decide(stormEpoch())
-	tu.decide(stormEpoch())
+	for i := 1; i < switchAfter; i++ {
+		tu.decide(stormEpoch())
+	}
 	if h.FallbackMode() != ModeFine {
-		t.Fatal("confirmed fine stint lost hysteresis: switched before SwitchAfter=3 epochs")
+		t.Fatal("confirmed fine stint lost hysteresis: switched before switchAfter epochs")
 	}
 	tu.decide(stormEpoch())
 	if h.FallbackMode() != ModeGlobal {
-		t.Fatal("three storm epochs did not switch a confirmed fine stint")
+		t.Fatal("switchAfter storm epochs did not switch a confirmed fine stint")
 	}
 }
 
@@ -413,48 +374,12 @@ func TestTunerEpochDeltaLivelockRatio(t *testing.T) {
 	}
 }
 
-func TestTunerKnobDrivers(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
-	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 10})
-
-	// Sustained moderate retry pressure grows the spins budget.
-	start := h.FallbackSpins()
-	for i := 0; i < 20 && h.FallbackSpins() == start; i++ {
-		tu.decide(TunerEpoch{FallbackRuns: 100, FallbackRetries: 100, RetryRatio: 1.0, ContentionRatio: 0.5})
-	}
-	if got := h.FallbackSpins(); got != start*2 {
-		t.Errorf("FallbackSpins = %d after sustained retries, want doubled %d", got, start*2)
-	}
-	// Retry-free fallback traffic sheds it again.
-	for i := 0; i < 40 && h.FallbackSpins() > start/2; i++ {
-		tu.decide(TunerEpoch{FallbackRuns: 100, RetryRatio: 0})
-	}
-	if got := h.FallbackSpins(); got > start {
-		t.Errorf("FallbackSpins = %d after calm epochs, want shed below %d", got, start)
-	}
-
-	// Capacity aborts shrink the dedup bypass; engagement pressure without
-	// them grows it back.
-	d0 := h.DedupBypass()
-	for i := 0; i < 20 && h.DedupBypass() == d0; i++ {
-		tu.decide(TunerEpoch{Capacity: 5})
-	}
-	if got := h.DedupBypass(); got >= d0 {
-		t.Errorf("DedupBypass = %d after capacity aborts, want below %d", got, d0)
-	}
-	low := h.DedupBypass()
-	for i := 0; i < 20 && h.DedupBypass() == low; i++ {
-		tu.decide(TunerEpoch{DedupEngages: 50, Commits: 100})
-	}
-	if got := h.DedupBypass(); got <= low {
-		t.Errorf("DedupBypass = %d after engagement pressure, want above %d", got, low)
-	}
-}
-
+// TestTunerPinnedNeverActs: a heap seeded global whose fallback traffic stays
+// below the evidence floor would return to fine after switchAfter calm
+// epochs; pinned, the Tuner samples those epochs but never switches.
 func TestTunerPinnedNeverActs(t *testing.T) {
-	h := newAdaptiveHeap(t, Config{})
-	tu := h.NewTuner(TunerConfig{Pinned: true, SwitchAfter: 1, MinFallbackRuns: 1})
-	mode, spins, dedup := h.FallbackMode(), h.FallbackSpins(), h.DedupBypass()
+	h := newAdaptiveHeap(t, Config{GlobalFallback: true})
+	tu := h.NewTuner(TunerConfig{Pinned: true})
 
 	// Generate real fallback traffic so the sampled epochs are nonempty.
 	th := h.NewThread()
@@ -468,21 +393,19 @@ func TestTunerPinnedNeverActs(t *testing.T) {
 	}
 	var seen []TunerEpoch
 	tu.Observe(func(e TunerEpoch) { seen = append(seen, e) })
-	tu.Tick()
-	tu.Tick()
-
-	if h.FallbackMode() != mode || h.FallbackSpins() != spins || h.DedupBypass() != dedup {
-		t.Error("pinned tuner changed a knob")
+	for i := 0; i < switchAfter; i++ {
+		tu.Tick()
 	}
-	if h.ModeSwitches() != 0 {
+
+	if h.FallbackMode() != ModeGlobal || h.ModeSwitches() != 0 {
 		t.Error("pinned tuner switched modes")
 	}
 	st := tu.State()
-	if st.Epochs != 2 || !st.Pinned {
-		t.Errorf("State = %+v, want 2 pinned epochs", st)
+	if st.Epochs != switchAfter || !st.Pinned {
+		t.Errorf("State = %+v, want %d pinned epochs", st, switchAfter)
 	}
-	if len(seen) != 2 {
-		t.Fatalf("observer saw %d epochs, want 2", len(seen))
+	if len(seen) != switchAfter {
+		t.Fatalf("observer saw %d epochs, want %d", len(seen), switchAfter)
 	}
 	if !seen[0].Pinned || seen[0].Epoch != 1 {
 		t.Errorf("first epoch = %+v", seen[0])
@@ -524,7 +447,7 @@ func TestTunerEndToEndSharedStorm(t *testing.T) {
 	// a single-CPU run can convoy invisibly, every holder completing within
 	// its scheduling quantum.
 	h := newAdaptiveHeap(t, Config{MaxRetries: 1, YieldEvery: 3})
-	tu := h.NewTuner(TunerConfig{MinFallbackRuns: 8, SwitchAfter: 2, StormRatio: 0.5})
+	tu := h.NewTuner(TunerConfig{})
 	setup := h.NewThread()
 	shared := setup.Alloc(4)
 

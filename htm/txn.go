@@ -82,10 +82,7 @@ type Txn struct {
 	yieldThresh  uint64 // rand() below this yields; 0 = never (see maybeYield)
 	maxReadSet   int
 	storeBufSize int
-
-	// The tuned knobs, refreshed from the heap's runtime words at begin.
-	dedupAfter int // read-set length at which dedup engages (see below)
-	fbSpins    int // out-of-order try-lock bound (Heap.SetFallbackSpins)
+	dedupAfter   int // read-set length at which dedup engages (see below)
 
 	// Fault injection (Config.Faults): faults is the owning thread's injection
 	// state (nil without a plan — one pointer check per access), fbDelay the
@@ -217,13 +214,14 @@ func (t *Txn) addLock(a Addr, prev uint64) int {
 	return n - 1
 }
 
-// defaultFallbackSpins is the default bound on how long a fallback operation
-// try-locks a word BELOW its acquisition watermark before releasing everything
-// and retrying (Config.FallbackSpins seeds it, Heap.SetFallbackSpins tunes it). Waiting on a word above
-// every held address follows the global address order and cannot deadlock, so
-// in-order waits are unbounded; out-of-order waits are where cycles form, so
-// they are bounded.
-const defaultFallbackSpins = 128
+// defaultFallbackSpins bounds how long a fallback operation try-locks a word
+// BELOW its acquisition watermark before releasing everything and retrying.
+// Waiting on a word above every held address follows the global address
+// order and cannot deadlock, so in-order waits are unbounded; out-of-order
+// waits are where cycles form, so they are bounded. DESIGN.md "Adaptive
+// contention management" records the phase-shift measurements that chose
+// the value.
+const defaultFallbackSpins = 16
 
 // fbAcquire takes the fine-grained fallback lock on the metadata word of a
 // and returns its lock-set slot (immediately, if already held). Deadlock
@@ -231,7 +229,7 @@ const defaultFallbackSpins = 128
 // watermark may wait indefinitely (address order is a global total order, so
 // such waits cannot cycle; hardware commits and NT
 // operations never wait while holding locks and are waited out
-// unconditionally), while acquiring below it try-locks Config.FallbackSpins
+// unconditionally), while acquiring below it try-locks defaultFallbackSpins
 // times and then aborts the attempt — the runFallback loop releases the entire
 // lock-set, backs off with jitter, and re-runs the body. The owner ID recorded
 // in the held word lets a contending fallback see who holds it in a debugger
@@ -265,7 +263,7 @@ func (t *Txn) fbAcquire(a Addr, op string) int {
 				bump(&t.th.cell.fallbackWaits)
 			}
 			// Held by another fallback operation, potentially for long.
-			if len(t.locks) > 0 && a < t.fbMax && spins >= t.fbSpins {
+			if len(t.locks) > 0 && a < t.fbMax && spins >= defaultFallbackSpins {
 				t.abort(AbortConflict, a) // release-and-retry (runFallback)
 			}
 			if t.h.fallbackSeq.Load()&1 != 0 || FallbackMode(t.h.fbMode.Load()) == ModeGlobal {
@@ -417,7 +415,7 @@ func (t *Txn) checkAccess(a Addr, op string) {
 }
 
 func (t *Txn) accessFault(a Addr, op string) {
-	if t.h.cfg.sandboxed && !t.direct {
+	if !t.h.cfg.NoSandbox && !t.direct {
 		t.abort(AbortIllegal, a)
 	}
 	panic(fmt.Sprintf("htm: transactional %s of invalid or freed address %#x without sandboxing (simulated segmentation fault)", op, uint32(a)))
@@ -719,7 +717,7 @@ func (t *Txn) commit() (AbortCode, Addr) {
 				// (A freed-and-reused word aborts as a conflict below, which
 				// is equally safe: nothing was locked or written.)
 				t.commitFail(i)
-				if !h.cfg.sandboxed {
+				if h.cfg.NoSandbox {
 					panic(fmt.Sprintf("htm: commit to freed word %#x without sandboxing", uint32(w.addr)))
 				}
 				return AbortIllegal, w.addr

@@ -19,9 +19,8 @@ const (
 	shrinkThresold = -2 // halve the step when counter drops below this after an abort
 )
 
-// outcomeWindow is the paper's 8-attempt outcome tracker, shared by the
-// telescoping Controller and the generalized Knob: a bit vector of the most
-// recent attempt outcomes and the running good−bad difference over them.
+// outcomeWindow is the paper's 8-attempt outcome tracker: a bit vector of the
+// most recent attempt outcomes and the running good−bad difference over them.
 type outcomeWindow struct {
 	window uint8 // bit i set = i-th most recent attempt was good
 	filled int   // number of valid bits in window (≤ 8)

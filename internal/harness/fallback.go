@@ -29,20 +29,12 @@ const (
 )
 
 func fallbackHeap(cfg Config, global bool) *htm.Heap {
-	return fallbackHeapSpins(cfg, global, 0)
-}
-
-// fallbackHeapSpins additionally sets the out-of-order acquire budget
-// (htm.Config.FallbackSpins: 0 selects the engine default, negative means no
-// spinning — release-and-retry immediately on any out-of-order conflict).
-func fallbackHeapSpins(cfg Config, global bool, spins int) *htm.Heap {
 	return htm.NewHeap(htm.Config{
 		Words:           fallbackHeapWords,
 		StoreBufferSize: fallbackStoreBuffer,
 		EnableTLE:       true,
 		MaxRetries:      1,
 		GlobalFallback:  global,
-		FallbackSpins:   spins,
 		YieldEvery:      cfg.YieldEvery,
 		NoMaxLive:       true,
 	})
@@ -55,24 +47,7 @@ func fallbackHeapSpins(cfg Config, global bool, spins int) *htm.Heap {
 // the global-lock baseline retained behind htm.Config.GlobalFallback.
 func FallbackOverflow(cfg Config, threads int, disjoint, global bool) Result {
 	cfg = cfg.withDefaults()
-	return overflowOn(fallbackHeap(cfg, global), cfg, threads, disjoint)
-}
-
-// FallbackSpinsOverflow is the shared-footprint overflow workload run with an
-// explicit out-of-order acquire budget: how long a fallback acquire spins on
-// a lock held by a LOWER-addressed owner before releasing its whole set and
-// retrying. spins=0 means no spinning at all (mapped to the config's
-// negative encoding); the engine default is 128.
-func FallbackSpinsOverflow(cfg Config, threads, spins int) Result {
-	cfg = cfg.withDefaults()
-	if spins == 0 {
-		spins = -1 // Config.FallbackSpins: 0 would select the default
-	}
-	return overflowOn(fallbackHeapSpins(cfg, false, spins), cfg, threads, false)
-}
-
-// overflowOn runs the contended-overflow workload on a prepared heap.
-func overflowOn(h *htm.Heap, cfg Config, threads int, disjoint bool) Result {
+	h := fallbackHeap(cfg, global)
 	setup := h.NewThread()
 	shared := setup.Alloc(fallbackWrites)
 
@@ -205,28 +180,6 @@ func FallbackScaling(cfg Config, threadCounts []int) *Table {
 		}
 		t.Series = append(t.Series, s)
 	}
-	return t
-}
-
-// FallbackSpinsSweep renders shared-footprint overflow throughput across
-// out-of-order acquire budgets (the Config.FallbackSpins knob) at a fixed
-// thread count. Too small a budget releases and retries on every transient
-// inversion; too large spins on locks whose owners are themselves spinning.
-// The sweep locates the engine default (128) on that curve.
-func FallbackSpinsSweep(cfg Config, threads int, spinsValues []int) *Table {
-	t := &Table{
-		Title:  "Fallback spins knob: shared contended-overflow [ops/us]",
-		XLabel: "spins",
-	}
-	for _, sp := range spinsValues {
-		t.Xs = append(t.Xs, fmt.Sprint(sp))
-	}
-	s := Series{Label: fmt.Sprintf("fine-grained shared, %d threads", threads)}
-	for _, sp := range spinsValues {
-		r := FallbackSpinsOverflow(cfg, threads, sp)
-		s.Ys = append(s.Ys, r.OpsPerUs())
-	}
-	t.Series = append(t.Series, s)
 	return t
 }
 

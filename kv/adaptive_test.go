@@ -77,7 +77,7 @@ func TestAdaptiveStoreLifecycle(t *testing.T) {
 	if NewStore(Config{Slots: 64}).Tuner() != nil {
 		t.Fatal("static store grew a Tuner")
 	}
-	s := NewStore(Config{Slots: 64, Adaptive: &AdaptiveConfig{Interval: time.Millisecond}})
+	s := NewStore(Config{Slots: 64, Adaptive: &AdaptiveConfig{}})
 	tu := s.Tuner()
 	if tu == nil {
 		t.Fatal("adaptive store has no Tuner")
@@ -130,7 +130,7 @@ func TestStatsAdaptiveSection(t *testing.T) {
 	if st.Adaptive["pinned"] != true {
 		t.Errorf("adaptive.pinned = %v, want true", st.Adaptive["pinned"])
 	}
-	for _, k := range []string{"mode_switches", "fallback_spins", "dedup_bypass", "epochs"} {
+	for _, k := range []string{"mode_switches", "epochs"} {
 		if _, ok := st.Adaptive[k]; !ok {
 			t.Errorf("adaptive section missing %q", k)
 		}

@@ -109,10 +109,10 @@ type Config struct {
 	Faults *htm.FaultPlan
 
 	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the heap's
-	// runtime fallback mode, spin budget and dedup threshold self-tune from
-	// live abort feedback, and the admission Governor (if the server enables
-	// one) tracks the heap's abort mix instead of using a static storm
-	// threshold. nil keeps every knob at its seeded value.
+	// fallback mode self-tunes from live abort feedback, and the admission
+	// Governor (if the server enables one) tracks the heap's abort mix
+	// instead of using a static storm threshold. nil keeps the mode at its
+	// seeded value.
 	Adaptive *AdaptiveConfig
 
 	// Durability, when non-nil, attaches a write-ahead commit log and
@@ -129,10 +129,8 @@ type Config struct {
 
 // AdaptiveConfig parameterizes the store's contention Tuner (htm.Tuner).
 type AdaptiveConfig struct {
-	// Interval is the tuning epoch length (0 = htm default, 25ms).
-	Interval time.Duration
 	// Pinned arms the sampling loop but suppresses every decision: epochs
-	// tick and /stats reports live data, yet no knob is ever written. The
+	// tick and /stats reports live data, yet the mode never switches. The
 	// chaos harness runs enabled-but-pinned to prove the adaptive machinery
 	// itself perturbs nothing.
 	Pinned bool

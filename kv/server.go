@@ -324,6 +324,10 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"fallback_waits":   hs.FallbackWaits,
 			"fallback_stalls":  hs.FallbackStalls,
 			"spurious_aborts":  hs.SpuriousAborts(),
+			"alloc_calls":      hs.AllocCalls,
+			"free_calls":       hs.FreeCalls,
+			"dedup_engages":    hs.DedupEngages,
+			"mode_switches":    hs.ModeSwitches,
 			"live_words":       hs.LiveWords,
 			"max_live_words":   hs.MaxLiveWords,
 		},
@@ -352,12 +356,10 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if tu := sv.store.Tuner(); tu != nil {
 		ts := tu.State()
 		resp.Adaptive = map[string]any{
-			"mode":           ts.Mode.String(),
-			"mode_switches":  ts.ModeSwitches,
-			"fallback_spins": ts.FallbackSpins,
-			"dedup_bypass":   ts.DedupBypass,
-			"epochs":         ts.Epochs,
-			"pinned":         ts.Pinned,
+			"mode":          ts.Mode.String(),
+			"mode_switches": ts.ModeSwitches,
+			"epochs":        ts.Epochs,
+			"pinned":        ts.Pinned,
 		}
 	}
 	if ws, ok := sv.store.WalStats(); ok {

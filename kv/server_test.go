@@ -9,10 +9,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unicode"
+
+	"repro/htm"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
@@ -190,6 +194,42 @@ func TestHTTPStatsAndMetrics(t *testing.T) {
 	}
 	if m.MeanLatencyUs <= 0 {
 		t.Fatalf("mean latency: %v", m.MeanLatencyUs)
+	}
+}
+
+// TestStatsHeapCoversHTMStats fails whenever an exported htm.Stats field has
+// no key in the /stats heap section: the key is the field name in
+// snake_case (FallbackRuns -> fallback_runs), so adding a counter to the
+// engine without surfacing it is caught here instead of drifting silently.
+func TestStatsHeapCoversHTMStats(t *testing.T) {
+	_, ts := testServer(t)
+	resp, body := doReq(t, http.MethodGet, ts.URL+"/stats", nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("stats: %d", resp.StatusCode)
+	}
+	var st statsResponse
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatalf("stats json: %v (%s)", err, body)
+	}
+	fields := reflect.TypeOf(htm.Stats{})
+	for i := 0; i < fields.NumField(); i++ {
+		f := fields.Field(i)
+		if !f.IsExported() {
+			continue
+		}
+		var key strings.Builder
+		for j, r := range f.Name {
+			if unicode.IsUpper(r) {
+				if j > 0 {
+					key.WriteByte('_')
+				}
+				r = unicode.ToLower(r)
+			}
+			key.WriteRune(r)
+		}
+		if _, ok := st.Heap[key.String()]; !ok {
+			t.Errorf("htm.Stats.%s has no /stats heap key %q", f.Name, key.String())
+		}
 	}
 }
 

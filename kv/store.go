@@ -69,8 +69,8 @@ type Store struct {
 	closed    atomic.Bool
 
 	// tuner is the heap's contention controller (Config.Adaptive; nil when
-	// the store's knobs stay at their seeded values). Owned by the store: started at construction,
-	// stopped by Close.
+	// the fallback mode stays at its seeded value). Owned by the store:
+	// started at construction, stopped by Close.
 	tuner *htm.Tuner
 }
 
@@ -102,7 +102,7 @@ func newStoreCore(cfg Config) *Store {
 		mask: uint64(cfg.Slots - 1),
 	}
 	if ac := cfg.Adaptive; ac != nil {
-		s.tuner = h.StartTuner(htm.TunerConfig{Interval: ac.Interval, Pinned: ac.Pinned})
+		s.tuner = h.StartTuner(htm.TunerConfig{Pinned: ac.Pinned})
 	}
 	setup := h.NewThread()
 	s.table = setup.Alloc(cfg.Slots)

@@ -74,7 +74,7 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 		"./cmd/crashkv": {"-quick", "-seed", "1", "-cycles", "2", "-clients", "2", "-keys", "8"},
 		// Self-diff of the committed snapshot: must exit 0 (no regressions,
 		// no shrunken coverage).
-		"./cmd/benchtrend": {"-fail-shrunk", "BENCH_PR12.json", "BENCH_PR12.json"},
+		"./cmd/benchtrend": {"-fail-shrunk", "BENCH_PR13.json", "BENCH_PR13.json"},
 	}
 
 	pkgs := discoverPackages(t, "cmd", "examples")
@@ -100,68 +100,96 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 	}
 
 	// Consecutive committed snapshots: each PR's snapshot must cover every
-	// series its predecessor recorded. -coverage-only ignores the per-point
-	// deltas — snapshots are measured on different days, so only coverage is
-	// a deterministic, comparable property.
-	chain := [][2]string{
-		{"BENCH_PR4.json", "BENCH_PR5.json"},
-		{"BENCH_PR5.json", "BENCH_PR6.json"},
-		{"BENCH_PR6.json", "BENCH_PR7.json"},
-		{"BENCH_PR7.json", "BENCH_PR8.json"},
-		{"BENCH_PR8.json", "BENCH_PR9.json"},
-		{"BENCH_PR9.json", "BENCH_PR10.json"},
+	// point its predecessor recorded, except the tables and microbenchmarks a
+	// link retires on purpose — and a retired entry must really be gone.
+	// Coverage ignores the per-point deltas: snapshots are measured on
+	// different days, so only coverage is a deterministic, comparable
+	// property.
+	chain := []struct {
+		old, new string
+		// retired names the table titles and benchmark names the new
+		// snapshot drops deliberately.
+		retired []string
+	}{
+		{"BENCH_PR4.json", "BENCH_PR5.json", nil},
+		{"BENCH_PR5.json", "BENCH_PR6.json", nil},
+		{"BENCH_PR6.json", "BENCH_PR7.json", nil},
+		{"BENCH_PR7.json", "BENCH_PR8.json", nil},
+		{"BENCH_PR8.json", "BENCH_PR9.json", nil},
+		{"BENCH_PR9.json", "BENCH_PR10.json", nil},
+		// The single-clock, per-word-metadata engine retired the clock-shard
+		// and stripe-shift knobs and with them these two figures.
+		{"BENCH_PR10.json", "BENCH_PR12.json", []string{
+			"Sharded clock: disjoint read-write commits [ops/us]",
+			"Stripe knob: neighbor-word commits, 8 threads",
+		}},
+		// The out-of-order spin bound and the dedup threshold stopped being
+		// knobs, retiring their sweeps.
+		{"BENCH_PR12.json", "BENCH_PR13.json", []string{
+			"Fallback spins knob: shared contended-overflow [ops/us]",
+			"BenchmarkDedupBypassSweep/engage=0",
+			"BenchmarkDedupBypassSweep/cap=64",
+			"BenchmarkDedupBypassSweep/cap=256",
+			"BenchmarkDedupBypassSweep/cap=1024",
+			"BenchmarkDedupBypassSweep/cap=4096",
+		}},
 	}
 	for _, link := range chain {
 		link := link
-		t.Run("coverage-chain/"+link[0]+"->"+link[1], func(t *testing.T) {
+		t.Run("coverage-chain/"+link.old+"->"+link.new, func(t *testing.T) {
 			t.Parallel()
-			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
-			defer cancel()
-			cmd := exec.CommandContext(ctx, "go", "run", "./cmd/benchtrend", "-coverage-only", link[0], link[1])
-			out, err := cmd.CombinedOutput()
+			oldR, err := harness.ReadJSONFile(link.old)
 			if err != nil {
-				t.Fatalf("coverage gate %s -> %s failed: %v\n%s", link[0], link[1], err, out)
+				t.Fatal(err)
+			}
+			newR, err := harness.ReadJSONFile(link.new)
+			if err != nil {
+				t.Fatal(err)
+			}
+			retired := map[string]bool{}
+			for _, name := range link.retired {
+				retired[name] = true
+			}
+			dropped := 0
+			keptTables := oldR.Tables[:0:0]
+			for _, tab := range oldR.Tables {
+				if retired[tab.Title] {
+					dropped++
+				} else {
+					keptTables = append(keptTables, tab)
+				}
+			}
+			keptBench := oldR.Benchmarks[:0:0]
+			for _, b := range oldR.Benchmarks {
+				if retired[b.Name] {
+					dropped++
+				} else {
+					keptBench = append(keptBench, b)
+				}
+			}
+			if dropped != len(retired) {
+				t.Fatalf("%s holds %d of the %d retired entries", link.old, dropped, len(retired))
+			}
+			for _, tab := range newR.Tables {
+				if retired[tab.Title] {
+					t.Errorf("%s still records retired table %q", link.new, tab.Title)
+				}
+			}
+			for _, b := range newR.Benchmarks {
+				if retired[b.Name] {
+					t.Errorf("%s still records retired benchmark %q", link.new, b.Name)
+				}
+			}
+			oldR.Tables, oldR.Benchmarks = keptTables, keptBench
+			d := harness.DiffReports(oldR, newR, 1e9)
+			if len(d.Rows) == 0 {
+				t.Fatalf("no matching points between %s and %s", link.old, link.new)
+			}
+			if d.MissingInNew != 0 {
+				t.Errorf("%s lost %d points of %s beyond the retired entries", link.new, d.MissingInNew, link.old)
 			}
 		})
 	}
-
-	// BENCH_PR10.json -> BENCH_PR12.json is the one link where coverage
-	// shrinks on purpose: the single-clock, per-word-metadata engine retired
-	// the clock-shard and stripe-shift knobs and with them exactly these two
-	// figures. Every other point the older snapshot recorded must still be
-	// covered.
-	t.Run("coverage-chain/BENCH_PR10.json->BENCH_PR12.json", func(t *testing.T) {
-		retired := map[string]bool{
-			"Sharded clock: disjoint read-write commits [ops/us]": true,
-			"Stripe knob: neighbor-word commits, 8 threads":       true,
-		}
-		oldR, err := harness.ReadJSONFile("BENCH_PR10.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		newR, err := harness.ReadJSONFile("BENCH_PR12.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		kept := oldR.Tables[:0:0]
-		for _, tab := range oldR.Tables {
-			if !retired[tab.Title] {
-				kept = append(kept, tab)
-			}
-		}
-		if len(oldR.Tables)-len(kept) != len(retired) {
-			t.Fatalf("BENCH_PR10.json holds %d of the %d retired tables", len(oldR.Tables)-len(kept), len(retired))
-		}
-		for _, tab := range newR.Tables {
-			if retired[tab.Title] {
-				t.Errorf("BENCH_PR12.json still records retired table %q", tab.Title)
-			}
-		}
-		oldR.Tables = kept
-		if d := harness.DiffReports(oldR, newR, 1e9); d.MissingInNew != 0 {
-			t.Errorf("BENCH_PR12.json lost %d points beyond the retired tables", d.MissingInNew)
-		}
-	})
 }
 
 // TestSmokeFallbackbenchAppendReplaces runs fallbackbench -json twice into the
