@@ -12,19 +12,23 @@
 //     operation stream at a one-context store with a logical clock, checking
 //     every response against an exact shadow model. The phase runs twice and
 //     must produce byte-identical "determinism-key:" fingerprints (fault,
-//     abort and op counts plus a model hash). CI additionally diffs the
-//     fingerprint across two whole process runs. With -adapt-pinned the
-//     store runs its contention Tuner enabled but pinned — sampling epochs
-//     tick on a real timer, yet the mode is never switched — and the
-//     fingerprint must STILL replay exactly: the proof that the adaptive
-//     machinery itself perturbs nothing.
+//     abort, fallback-mode-switch and op counts plus a model hash). CI
+//     additionally diffs the fingerprint across two whole process runs. The
+//     store's contention Tuner samples on a real timer throughout, yet with
+//     one context no two fallback runs can collide, so it never switches
+//     the mode (switches=0 in the key) and every counter still replays
+//     exactly.
 //
 //   - Overload sweep: concurrent clients hammer an admission-controlled,
 //     request-timeout-bounded server while the injection probability rises.
 //     Each client owns a disjoint key partition and checks its own shadow
 //     model (a 503 — shed or abandoned — is guaranteed to have had no
 //     effect). The sweep demonstrates graceful degradation: the server sheds
-//     load with 503s while ADMITTED requests keep a bounded p99.
+//     load with 503s while ADMITTED requests keep a bounded p99. A point with
+//     injection ends on evidence, not on the wall clock alone: it stays open
+//     past -duration until the store's Tuner has judged an epoch busy enough
+//     for the admission Governor to act on, and served one more epoch under
+//     that verdict.
 //
 // After each phase the heap must sweep clean: no word locked, no fallback
 // tag left behind, allocation accounting exact, and — once every key is
@@ -48,6 +52,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/htm"
@@ -67,9 +72,12 @@ var chaosProbs = []float64{0, 0.05, 0.25}
 // reqTimeout bounds each overload-phase request; admitted-latency p99 is
 // asserted against a generous multiple of it (deadline checks happen between
 // retry attempts, so a slow attempt can overshoot, and CI machines stall).
+// evidenceCap bounds how long past -duration an injected point may wait for
+// its evidence epochs on a host too loaded to produce them.
 const (
 	reqTimeout   = 25 * time.Millisecond
 	p99BoundMult = 20
+	evidenceCap  = 2 * time.Second
 )
 
 func run() int {
@@ -81,7 +89,6 @@ func run() int {
 	jsonOut := flag.String("json", "", "write (or with -append, merge) results as a machine-readable Report to this file")
 	appendTo := flag.Bool("append", false, "merge the tables into an existing -json report instead of overwriting it")
 	label := flag.String("label", "chaoskv", "label recorded in the -json report")
-	adaptPinned := flag.Bool("adapt-pinned", false, "run the deterministic phase with the contention tuner enabled but pinned (sampling without acting)")
 	flag.Parse()
 
 	if *quick {
@@ -95,15 +102,13 @@ func run() int {
 
 	failures := 0
 
-	// Phase 1: deterministic replay, twice, fingerprints compared. The
-	// pinned tuner is part of the configuration: the phase must stay
-	// replayable with and without it (CI runs it both ways).
-	fp1, err := deterministicRun(*seed, *ops, *adaptPinned)
+	// Phase 1: deterministic replay, twice, fingerprints compared.
+	fp1, err := deterministicRun(*seed, *ops)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaoskv: deterministic phase: %v\n", err)
 		return 1
 	}
-	fp2, err := deterministicRun(*seed, *ops, *adaptPinned)
+	fp2, err := deterministicRun(*seed, *ops)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaoskv: deterministic phase (replay): %v\n", err)
 		return 1
@@ -223,14 +228,13 @@ type scanPage struct {
 // deterministicRun drives the sequential phase once and returns its
 // fingerprint line. Everything that could perturb counts is pinned: one pool
 // context, one client goroutine, a logical expiry clock, no background jobs
-// (the pipeline only starts under Serve), no admission (its sampler reads
-// wall-clock time). The injection PRNG is the engine's own, seeded from
-// -seed; the workload stream is an independent xorshift from the same seed.
-// adaptPinned additionally runs the contention Tuner in pinned mode: its
-// sampling goroutine ticks on real time (epoch counts vary run to run and
-// stay OUT of the fingerprint), but it never switches the mode, so every
-// counter that IS fingerprinted must be untouched by its presence.
-func deterministicRun(seed uint64, ops int, adaptPinned bool) (string, error) {
+// (the pipeline only starts under Serve), no admission (its storm flag
+// follows the Tuner's wall-clock epochs). The injection PRNG is the engine's
+// own, seeded from -seed; the workload stream is an independent xorshift
+// from the same seed. The store's Tuner samples on real time (epoch counts
+// vary run to run and stay OUT of the fingerprint); its mode-switch count is
+// IN it, and must read 0 on every run.
+func deterministicRun(seed uint64, ops int) (string, error) {
 	plan := &htm.FaultPlan{
 		Seed:         seed,
 		BeginProb:    0.05,
@@ -250,11 +254,8 @@ func deterministicRun(seed uint64, ops int, adaptPinned bool) (string, error) {
 		Faults:      plan,
 		Now:         func() int64 { tick++; return tick },
 	}
-	if adaptPinned {
-		cfg.Adaptive = &kv.AdaptiveConfig{Pinned: true}
-	}
 	store := kv.NewStore(cfg)
-	defer store.Close() // stops the pinned tuner's sampling goroutine
+	defer store.Close() // stops the Tuner's sampling goroutine
 	sv := kv.NewServer(store)
 	baseline := store.Heap().Stats().LiveWords
 
@@ -364,17 +365,19 @@ func deterministicRun(seed uint64, ops int, adaptPinned bool) (string, error) {
 		return "", fmt.Errorf("post-drain %v", err)
 	}
 
+	// One context means no two fallback runs can collide, so the Tuner has
+	// no evidence to act on; a switch here is a controller bug, not noise.
+	switches := store.Heap().ModeSwitches()
+	if switches != 0 {
+		return "", fmt.Errorf("the Tuner switched the fallback mode %d times with one context", switches)
+	}
 	st := store.Heap().Stats()
 	oc := store.OpCounters()
-	adapt := 0
-	if adaptPinned {
-		adapt = 1
-	}
 	return fmt.Sprintf(
-		"determinism-key: seed=%d ops=%d adapt=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
-		seed, ops, adapt, st.Starts, st.Commits, st.SpuriousAborts(),
+		"determinism-key: seed=%d ops=%d starts=%d commits=%d spurious=%d conflicts=%d capacity=%d fallbacks=%d stalls=%d switches=%d fulls=%d gets=%d puts=%d dels=%d scans=%d model=%016x",
+		seed, ops, st.Starts, st.Commits, st.SpuriousAborts(),
 		st.Aborts[htm.AbortConflict], st.Aborts[htm.AbortCapacity],
-		st.FallbackRuns, st.FallbackStalls, fulls,
+		st.FallbackRuns, st.FallbackStalls, switches, fulls,
 		oc.Gets, oc.Puts, oc.Deletes, oc.Scans, modelHash), nil
 }
 
@@ -425,10 +428,12 @@ func sweepClean(store *kv.Store, baseline uint64) error {
 
 // overloadPoint drives one point of the overload sweep: `clients` concurrent
 // closed-loop clients against an admission-controlled server whose engine
-// pool is deliberately smaller than the client count, for `dur`. Each client
-// owns a disjoint key partition and an exact shadow model of it — a 503
-// (shed or deadline-abandoned) is contractually effect-free, so the model
-// checking stays sound under arbitrary rejection.
+// pool is deliberately smaller than the client count, for `dur` — and, with
+// injection on, until the store's Tuner has delivered the Governor an
+// evidence epoch plus one epoch served under its verdict. Each client owns a
+// disjoint key partition and an exact shadow model of it — a 503 (shed or
+// deadline-abandoned) is contractually effect-free, so the model checking
+// stays sound under arbitrary rejection.
 func overloadPoint(seed uint64, prob float64, clients int, dur time.Duration) (harness.ChaosPoint, []string) {
 	var plan *htm.FaultPlan
 	if prob > 0 {
@@ -454,11 +459,27 @@ func overloadPoint(seed uint64, prob float64, clients int, dur time.Duration) (h
 		MaxRetries:  4, // injection can exhaust this, driving traffic onto the stalled fallback
 		Faults:      plan,
 	})
+	defer store.Close()
 	sv := kv.NewServer(store,
-		kv.WithAdmissionControl(kv.AdmissionConfig{}),
+		kv.WithAdmissionControl(),
 		kv.WithRequestTimeout(reqTimeout),
 	)
 	baseline := store.Heap().Stats().LiveWords
+
+	// evidence steps 0 → 1 when an epoch carries enough attempts for the
+	// Governor's storm verdict, and 1 → 2 after one more epoch, during which
+	// that verdict governed admission.
+	var evidence atomic.Int32
+	store.Tuner().Observe(func(e htm.TunerEpoch) {
+		switch evidence.Load() {
+		case 0:
+			if e.Starts >= kv.StormMinStarts {
+				evidence.Store(1)
+			}
+		case 1:
+			evidence.Store(2)
+		}
+	})
 
 	type workerOut struct {
 		lats      []time.Duration
@@ -470,7 +491,11 @@ func overloadPoint(seed uint64, prob float64, clients int, dur time.Duration) (h
 	outs := make([]workerOut, clients)
 	var wg sync.WaitGroup
 	start := time.Now()
-	deadline := start.Add(dur)
+	deadline, hardCap := start.Add(dur), start.Add(dur+evidenceCap)
+	windowOpen := func() bool {
+		now := time.Now()
+		return now.Before(deadline) || (prob > 0 && evidence.Load() < 2 && now.Before(hardCap))
+	}
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(id int) {
@@ -481,7 +506,7 @@ func overloadPoint(seed uint64, prob float64, clients int, dur time.Duration) (h
 			if rng == 0 {
 				rng = 1
 			}
-			for n := 0; time.Now().Before(deadline); n++ {
+			for n := 0; windowOpen(); n++ {
 				roll := xorshift64(&rng) % 100
 				key := fmt.Sprintf("c%02d-k%02d", id, xorshift64(&rng)%32)
 				t0 := time.Now()

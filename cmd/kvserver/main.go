@@ -1,8 +1,9 @@
 // Command kvserver serves the transactional KV engine (package kv) over
 // HTTP. The storage engine is the simulated HTM heap: every GET/PUT/DELETE/
-// SCAN request runs as one heap transaction (TLE with the fine-grained
-// fallback), and background expiry/compaction jobs flow through an on-heap
-// concurrent queue. SIGINT/SIGTERM trigger a graceful shutdown: in-flight
+// SCAN request runs as one heap transaction (TLE whose fallback mode the
+// store's contention tuner steers: fine-grained lock-set by default, the
+// paper's global lock while fallback footprints collide), and background
+// expiry/compaction jobs flow through an on-heap concurrent queue. SIGINT/SIGTERM trigger a graceful shutdown: in-flight
 // requests complete, the job pipeline drains, and the process exits 0 — the
 // contract the CI e2e job asserts.
 //
@@ -10,9 +11,8 @@
 //
 //	kvserver [-addr 127.0.0.1:7070] [-slots 16384] [-heap-words N]
 //	         [-pool N] [-max-value 4096] [-sweep 2s] [-job-workers 2]
-//	         [-job-queue htm|ms|rop|ebr] [-global-fallback] [-verbose]
+//	         [-job-queue htm|ms|rop|ebr] [-verbose]
 //	         [-admission] [-req-timeout 0] [-max-retries 0]
-//	         [-adapt]
 //	         [-fault-seed 1] [-fault-begin P] [-fault-access P]
 //	         [-fault-commit P] [-fault-stall P]
 //	         [-wal-dir DIR] [-fsync=true] [-snapshot-every N]
@@ -20,11 +20,11 @@
 //
 // The -fault-* flags attach a seeded injection plan (htm.FaultPlan) to the
 // heap — the chaos knobs, usable against a live server; -admission turns on
-// load shedding (503 + Retry-After under pool saturation or abort storms)
-// and -req-timeout bounds each request's store operation. -adapt attaches
-// the online contention tuner (htm.Tuner): the fallback mode self-tunes
-// from live abort feedback, and with -admission the governor's storm
-// threshold tracks the heap's abort mix.
+// load shedding (503 + Retry-After under pool saturation, or when the
+// tuner's last epoch saw an abort storm against the heap's tracked abort
+// mix) and -req-timeout bounds each request's store operation. The startup
+// line reports the fallback mode the tuner starts from (mode=fine); /stats
+// reports where it is now.
 //
 // -wal-dir turns on durability: acknowledged mutations are written to a
 // CRC-framed commit log before the response goes out, snapshots truncate old
@@ -67,12 +67,10 @@ func run() int {
 	sweep := flag.Duration("sweep", 2*time.Second, "interval between background expiry/compaction sweeps")
 	jobWorkers := flag.Int("job-workers", 2, "background job worker goroutines")
 	jobQueue := flag.String("job-queue", "htm", "job queue implementation: htm, ms, rop or ebr")
-	globalFallback := flag.Bool("global-fallback", false, "use the paper's global TLE fallback lock instead of the fine-grained lock-set")
 	verbose := flag.Bool("verbose", false, "log every request")
 	admission := flag.Bool("admission", false, "shed load (503 + Retry-After) under pool saturation or abort storms")
 	reqTimeout := flag.Duration("req-timeout", 0, "per-request store-operation deadline (0 = unbounded)")
 	maxRetries := flag.Int("max-retries", 0, "hardware retry budget before the TLE fallback (0 = engine default)")
-	adapt := flag.Bool("adapt", false, "self-tune the TLE fallback mode (fine-grained or global lock) from live abort feedback")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the -fault-* injection plan")
 	faultBegin := flag.Float64("fault-begin", 0, "probability of a spurious abort at transaction begin")
 	faultAccess := flag.Float64("fault-access", 0, "probability of a spurious abort per transactional access")
@@ -102,16 +100,12 @@ func run() int {
 		}
 	}
 	cfg := kv.Config{
-		Slots:          *slots,
-		HeapWords:      *heapWords,
-		MaxValueBytes:  *maxValue,
-		PoolThreads:    *pool,
-		GlobalFallback: *globalFallback,
-		MaxRetries:     *maxRetries,
-		Faults:         plan,
-	}
-	if *adapt {
-		cfg.Adaptive = &kv.AdaptiveConfig{}
+		Slots:         *slots,
+		HeapWords:     *heapWords,
+		MaxValueBytes: *maxValue,
+		PoolThreads:   *pool,
+		MaxRetries:    *maxRetries,
+		Faults:        plan,
 	}
 	if *walDir != "" {
 		cfg.Durability = &kv.Durability{
@@ -153,7 +147,7 @@ func run() int {
 		opts = append(opts, kv.WithRequestLog(nil))
 	}
 	if *admission {
-		opts = append(opts, kv.WithAdmissionControl(kv.AdmissionConfig{}))
+		opts = append(opts, kv.WithAdmissionControl())
 	}
 	if *reqTimeout > 0 {
 		opts = append(opts, kv.WithRequestTimeout(*reqTimeout))
@@ -169,12 +163,8 @@ func run() int {
 	// wiring or anything else that could delay (or, failing, suppress) the
 	// line. Supervisors and the CI e2e script treat it as the readiness
 	// signal, and with -addr :0 it is the only way to learn the chosen port.
-	adaptState := "off"
-	if tu := store.Tuner(); tu != nil {
-		adaptState = "mode=" + tu.State().Mode.String()
-	}
-	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v adapt=%s)",
-		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), adaptState)
+	log.Printf("kvserver: serving on http://%s (slots=%d heap=%dw pool=%d queue=%s faults=%v durable=%v mode=%s)",
+		ln.Addr(), store.Slots(), store.Heap().Config().Words, store.PoolSize(), *jobQueue, plan != nil, store.Durable(), store.Heap().FallbackMode())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 	if err := srv.Serve(ctx, ln); err != nil {

@@ -16,10 +16,11 @@ import (
 // configuration of each phase without retuning.
 //
 // A Tuner observes only aggregate counters and writes only the mode word, so
-// it perturbs nothing it does not intend to; with Pinned it samples and
-// publishes epochs but never switches, which is what determinism harnesses
-// run. kv.Store attaches a second client through Observe: the overload
-// Governor tracks the epoch abort mix (see kv/overload.go).
+// it perturbs nothing it does not intend to: a workload whose fallbacks never
+// collide (one thread, or disjoint footprints) never reads as a storm, and
+// the mode never moves. Every kv.Store runs one, and attaches a second client
+// through Observe: the overload Governor takes its abort-storm flag from the
+// epochs (see kv/overload.go).
 type Tuner struct {
 	h   *Heap
 	cfg TunerConfig
@@ -48,12 +49,6 @@ type TunerConfig struct {
 	// counters to accumulate evidence, short enough to track phase shifts
 	// within a few tens of milliseconds.
 	Interval time.Duration
-
-	// Pinned arms the sampling loop but never switches the mode: epochs
-	// tick, State and observers see live data, decisions are suppressed.
-	// Determinism harnesses run enabled-but-pinned, proving the adaptive
-	// machinery itself perturbs nothing.
-	Pinned bool
 }
 
 // The mode controller's fixed parameters.
@@ -127,9 +122,8 @@ type TunerEpoch struct {
 	ContentionRatio float64
 	// Mode is the fallback mode after this epoch's decision applied.
 	Mode FallbackMode
-	// Epoch is the 1-based epoch ordinal; Pinned echoes the config.
-	Epoch  uint64
-	Pinned bool
+	// Epoch is the 1-based epoch ordinal.
+	Epoch uint64
 }
 
 // StartTuner attaches a Tuner to the heap and starts its sampling goroutine.
@@ -155,7 +149,7 @@ func (h *Heap) NewTuner(cfg TunerConfig) *Tuner {
 	}
 }
 
-// Observe registers f to be called after every epoch (pinned or not) with
+// Observe registers f to be called after every epoch with
 // that epoch's deltas and mode. f runs on the Tuner goroutine and must
 // not block.
 func (tu *Tuner) Observe(f func(TunerEpoch)) {
@@ -211,8 +205,7 @@ func (tu *Tuner) interval() time.Duration {
 	return tu.cfg.Interval
 }
 
-// Tick runs one epoch synchronously: sample, decide (unless pinned), notify
-// observers. The background loop calls it on every interval; tests and
+// Tick runs one epoch synchronously: sample, decide, notify observers. The background loop calls it on every interval; tests and
 // single-stepped harnesses call it directly.
 func (tu *Tuner) Tick() {
 	tu.mu.Lock()
@@ -222,10 +215,7 @@ func (tu *Tuner) Tick() {
 	tu.last = s
 	tu.epochs++
 	e.Epoch = tu.epochs
-	e.Pinned = tu.cfg.Pinned
-	if !tu.cfg.Pinned {
-		tu.decide(e)
-	}
+	tu.decide(e)
 	e.Mode = tu.h.FallbackMode()
 	for _, f := range tu.observers {
 		f(e)
@@ -338,8 +328,6 @@ func (tu *Tuner) decide(e TunerEpoch) {
 type TunerState struct {
 	// Epochs is the number of completed sampling epochs.
 	Epochs uint64
-	// Pinned echoes TunerConfig.Pinned.
-	Pinned bool
 	// Mode is the heap's current fallback mode; ModeSwitches counts runtime
 	// changes applied so far.
 	Mode         FallbackMode
@@ -353,7 +341,6 @@ func (tu *Tuner) State() TunerState {
 	tu.mu.Unlock()
 	return TunerState{
 		Epochs:       epochs,
-		Pinned:       tu.cfg.Pinned,
 		Mode:         tu.h.FallbackMode(),
 		ModeSwitches: tu.h.ModeSwitches(),
 	}

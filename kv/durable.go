@@ -76,6 +76,12 @@ func Open(cfg Config) (*Store, error) {
 	d := cfg.Durability.withDefaults()
 	cfg.Durability = nil // core builds the engine; wiring happens here
 	s := newStoreCore(cfg)
+	opened := false
+	defer func() {
+		if !opened {
+			s.tuner.Stop() // a store that failed to open is never returned to Close
+		}
+	}()
 	s.dcfg = d
 	start := time.Now()
 	baseline := s.heap.Stats().LiveWords
@@ -163,6 +169,7 @@ func Open(cfg Config) (*Store, error) {
 		Entries:         entries,
 		Elapsed:         time.Since(start),
 	}
+	opened = true
 	return s, nil
 }
 
@@ -400,16 +407,15 @@ func (s *Store) Snapshot() (uint64, error) {
 	return n, nil
 }
 
-// Close flushes the commit log and records a clean shutdown (the CLEAN
-// marker). Idempotent; a purely in-memory store's Close is a no-op. Callers
-// must have quiesced writers first — the HTTP server's graceful path does.
+// Close stops the store's Tuner, then flushes the commit log and records a
+// clean shutdown (the CLEAN marker). Idempotent. A closed store still serves
+// operations, on the fallback mode the Tuner last chose. Callers must have
+// quiesced writers first — the HTTP server's graceful path does.
 func (s *Store) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if s.tuner != nil {
-		s.tuner.Stop()
-	}
+	s.tuner.Stop()
 	if s.wal == nil {
 		return nil
 	}

@@ -21,10 +21,19 @@ func durableConfig(mfs *wal.MemFS, every int) Config {
 
 func openDurable(t *testing.T, mfs *wal.MemFS, every int) *Store {
 	t.Helper()
-	s, err := Open(durableConfig(mfs, every))
+	return openTestStore(t, durableConfig(mfs, every))
+}
+
+// openTestStore opens a store that the test's cleanup closes. Close is
+// idempotent, so tests that close (or crash and abandon) a store themselves
+// still stop its Tuner goroutine here.
+func openTestStore(t *testing.T, cfg Config) *Store {
+	t.Helper()
+	s, err := Open(cfg)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
@@ -116,10 +125,7 @@ func TestDurableTTLSurvives(t *testing.T) {
 	mfs := wal.NewMemFS()
 	cfg := durableConfig(mfs, 0)
 	cfg.Now = func() int64 { return clock }
-	s, err := Open(cfg)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
+	s := openTestStore(t, cfg)
 	if err := s.Put(context.Background(), []byte("ttl"), []byte("v"), time.Hour); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
@@ -128,11 +134,7 @@ func TestDurableTTLSurvives(t *testing.T) {
 
 	cfg2 := durableConfig(mfs, 0)
 	cfg2.Now = func() int64 { return clock }
-	s2, err := Open(cfg2)
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	defer s2.Close()
+	s2 := openTestStore(t, cfg2)
 	checkGet(t, s2, "ttl", "v", true)
 	clock = now + int64(2*time.Hour) // past the deadline: reads as missing
 	checkGet(t, s2, "ttl", "", false)
@@ -319,7 +321,7 @@ func TestMidLogCorruptionRefusesStart(t *testing.T) {
 // TestNonDurableUnchanged: without Durability the new machinery must stay
 // out of the way — no seq ticking, Close a no-op, stats absent.
 func TestNonDurableUnchanged(t *testing.T) {
-	s := NewStore(Config{Slots: 1 << 8, PoolThreads: 8})
+	s := newTestStore(t, Config{Slots: 1 << 8, PoolThreads: 8})
 	mustPut(t, s, "k", "v")
 	if s.Durable() {
 		t.Fatal("in-memory store claims durability")

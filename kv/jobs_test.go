@@ -99,7 +99,7 @@ func TestJobsPipelineOnMSQueue(t *testing.T) {
 	now.Store(1)
 	cfg := Config{Slots: 2048}
 	cfg.Now = now.Load
-	s := NewStore(cfg)
+	s := newTestStore(t, cfg)
 	for i := 0; i < 30; i++ {
 		if err := s.Put(bg, []byte(fmt.Sprintf("e-%02d", i)), []byte("v"), 10); err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestJobsPipelineOnMSQueue(t *testing.T) {
 }
 
 func TestJobsTickerSweeps(t *testing.T) {
-	s := NewStore(Config{Slots: 1024})
+	s := newTestStore(t, Config{Slots: 1024})
 	ctx, cancel := context.WithCancel(context.Background())
 	jobs := StartJobs(ctx, s, JobsConfig{Interval: 10 * time.Millisecond, Workers: 1})
 	waitUntil(t, "ticker-driven sweeps", func() bool { return jobs.Stats().Sweeps >= 2 })

@@ -21,10 +21,16 @@
 //     set (large scans) complete on the fine-grained TLE fallback, locking
 //     only the words they touch.
 //
+// Every store runs the heap's contention controller (htm.Tuner): the TLE
+// fallback mode starts fine-grained and moves to the global lock only while
+// fallback footprints are observed to collide, so the default configuration
+// has no shared-footprint cliff.
+//
 // Background maintenance (expiry of TTL'd entries, compaction of tombstones)
 // flows through an async job pipeline (see jobs.go) built on the package
-// queue implementations, and the HTTP layer (server.go, middleware.go) adds
-// logging/recovery/metrics middleware plus context-driven graceful shutdown.
+// queue implementations, and the HTTP layer (server.go, middleware.go) wraps
+// every request once for admission, metrics, logging and panic recovery,
+// plus context-driven graceful shutdown.
 package kv
 
 import (
@@ -93,11 +99,6 @@ type Config struct {
 	// keeps the engine busy).
 	PoolThreads int
 
-	// GlobalFallback starts the heap on the paper's global TLE fallback lock
-	// instead of the default fine-grained per-word lock-set (comparison
-	// benchmarks; a Tuner may still switch it).
-	GlobalFallback bool
-
 	// MaxRetries overrides the engine's retry budget before an operation
 	// completes on the TLE fallback (0 = htm default). Chaos experiments
 	// raise it to keep operations on the killable hardware path longer.
@@ -107,13 +108,6 @@ type Config struct {
 	// htm.FaultPlan) — the chaos harness's adversity dial. nil injects
 	// nothing.
 	Faults *htm.FaultPlan
-
-	// Adaptive, when non-nil, attaches an htm.Tuner to the store: the heap's
-	// fallback mode self-tunes from live abort feedback, and the admission
-	// Governor (if the server enables one) tracks the heap's abort mix
-	// instead of using a static storm threshold. nil keeps the mode at its
-	// seeded value.
-	Adaptive *AdaptiveConfig
 
 	// Durability, when non-nil, attaches a write-ahead commit log and
 	// snapshotting to the store: every acknowledged PUT/DELETE is CRC-framed
@@ -125,15 +119,6 @@ type Config struct {
 	// Now overrides the expiry clock (tests). Defaults to time.Now-based
 	// unix nanoseconds.
 	Now func() int64
-}
-
-// AdaptiveConfig parameterizes the store's contention Tuner (htm.Tuner).
-type AdaptiveConfig struct {
-	// Pinned arms the sampling loop but suppresses every decision: epochs
-	// tick and /stats reports live data, yet the mode never switches. The
-	// chaos harness runs enabled-but-pinned to prove the adaptive machinery
-	// itself perturbs nothing.
-	Pinned bool
 }
 
 // Durability parameterizes the WAL + snapshot subsystem (package kv/wal).

@@ -18,7 +18,7 @@ func TestRunLoadCoversEverySeries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives real traffic for ~300ms")
 	}
-	sv := NewServer(NewStore(Config{Slots: 4096}))
+	sv := NewServer(newTestStore(t, Config{Slots: 4096}))
 	ts := httptest.NewServer(sv)
 	defer ts.Close()
 
@@ -95,7 +95,7 @@ func TestRunLoadCoversEverySeries(t *testing.T) {
 // returns each key exactly once.
 func TestLoadWorkerScanFollowsCursor(t *testing.T) {
 	const keys = 300
-	store := NewStore(Config{Slots: 4 * scanSlotWindow})
+	store := newTestStore(t, Config{Slots: 4 * scanSlotWindow})
 	for i := 0; i < keys; i++ {
 		if err := store.Put(bg, []byte(fmt.Sprintf("k%06d", i)), []byte("v"), 0); err != nil {
 			t.Fatal(err)

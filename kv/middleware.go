@@ -1,29 +1,19 @@
 package kv
 
 import (
-	"log"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
 
-// HTTP middleware for the KV service: small, composable wrappers in the
-// usual func(http.Handler) http.Handler shape. The server chains
-// metrics → logging → recovery → mux, outermost first: recovery sits
-// innermost so the 503 it writes for a panicking handler flows back out
-// through logging and metrics and is counted like any other response.
-
-// Middleware wraps an http.Handler.
-type Middleware func(http.Handler) http.Handler
-
-// Chain composes middlewares outermost-first around h.
-func Chain(h http.Handler, mws ...Middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
+// The request wrapper: every request passes through Server.ServeHTTP once,
+// which owns one statusRecorder per request and applies, outermost first,
+// metrics and logging, admission, and panic recovery around the route mux.
+// Admission sits inside metrics, so a shed 503 is counted like any other
+// 5xx; recovery sits innermost, so the 503 it writes for a panicking handler
+// is counted, and logged when request logging is on.
 
 // statusRecorder captures the response status for metrics and logging.
 type statusRecorder struct {
@@ -93,61 +83,51 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	return s
 }
 
-// WithMetrics counts requests, errors, bytes and latency into m.
-func WithMetrics(m *Metrics) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := &statusRecorder{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(rec, r)
-			m.Requests.Add(1)
-			m.LatencyNs.Add(uint64(time.Since(start)))
-			m.BytesWritten.Add(uint64(rec.bytes))
-			switch {
-			case rec.status >= 500:
-				m.Errors5xx.Add(1)
-			case rec.status >= 400:
-				m.Errors4xx.Add(1)
+// ServeHTTP implements http.Handler (httptest and embedding): the one
+// request wrapper described above.
+func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	rec := &statusRecorder{ResponseWriter: w}
+	start := time.Now()
+	sv.admitAndServe(rec, r)
+	elapsed := time.Since(start)
+	m := &sv.metrics
+	m.Requests.Add(1)
+	m.LatencyNs.Add(uint64(elapsed))
+	m.BytesWritten.Add(uint64(rec.bytes))
+	switch {
+	case rec.status >= 500:
+		m.Errors5xx.Add(1)
+	case rec.status >= 400:
+		m.Errors4xx.Add(1)
+	}
+	if sv.logf != nil {
+		sv.logf("%s %s -> %d (%dB, %s)", r.Method, r.URL.Path, rec.status, rec.bytes, elapsed.Round(time.Microsecond))
+	}
+}
+
+// admitAndServe sheds what the Governor refuses with 503 + Retry-After —
+// except /healthz and /stats, the two endpoints an operator diagnosing an
+// overloaded server needs — and runs everything else on the mux, converting
+// a handler panic into a 503. On this engine the panic that matters is
+// heap-arena exhaustion (htm's allocator panics rather than returning nil,
+// mirroring a real allocator's abort-on-OOM); the store's pooled thread is
+// returned by Store.withThread's defer, so the service keeps running — reads
+// and deletes still succeed, and deletes free space.
+func (sv *Server) admitAndServe(w http.ResponseWriter, r *http.Request) {
+	if g := sv.governor; g != nil && r.URL.Path != "/healthz" && r.URL.Path != "/stats" && !g.Allow() {
+		sv.metrics.Sheds.Add(1)
+		w.Header().Set("Retry-After", strconv.Itoa(g.RetryAfterSeconds()))
+		http.Error(w, "overloaded: retry later", http.StatusServiceUnavailable)
+		return
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			sv.metrics.Panics.Add(1)
+			if sv.logf != nil {
+				sv.logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
 			}
-		})
-	}
-}
-
-// WithRecovery converts handler panics into 503s. On this engine the panic
-// that matters is heap-arena exhaustion (htm's allocator panics rather than
-// returning nil, mirroring a real allocator's abort-on-OOM); the store's
-// pooled thread is returned by Store.withThread's defer, so the service
-// keeps running — reads and deletes still succeed, and deletes free space.
-func WithRecovery(m *Metrics, logf func(format string, args ...any)) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			defer func() {
-				if rec := recover(); rec != nil {
-					if m != nil {
-						m.Panics.Add(1)
-					}
-					if logf != nil {
-						logf("panic serving %s %s: %v\n%s", r.Method, r.URL.Path, rec, debug.Stack())
-					}
-					http.Error(w, "service unavailable", http.StatusServiceUnavailable)
-				}
-			}()
-			next.ServeHTTP(w, r)
-		})
-	}
-}
-
-// WithLogging emits one line per request; nil logf selects log.Printf.
-func WithLogging(logf func(format string, args ...any)) Middleware {
-	if logf == nil {
-		logf = log.Printf
-	}
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			rec := &statusRecorder{ResponseWriter: w}
-			start := time.Now()
-			next.ServeHTTP(rec, r)
-			logf("%s %s -> %d (%dB, %s)", r.Method, r.URL.Path, rec.status, rec.bytes, time.Since(start).Round(time.Microsecond))
-		})
-	}
+			http.Error(w, "service unavailable", http.StatusServiceUnavailable)
+		}
+	}()
+	sv.mux.ServeHTTP(w, r)
 }

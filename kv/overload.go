@@ -2,10 +2,7 @@ package kv
 
 import (
 	"math"
-	"net/http"
-	"strconv"
 	"sync/atomic"
-	"time"
 
 	"repro/htm"
 )
@@ -20,68 +17,37 @@ import (
 //   - Saturation: every pooled execution context is checked out. One more
 //     request would only queue behind the pool; its deadline is better spent
 //     by the client retrying later.
-//   - Abort storm: the heap-wide rate of conflict + spurious aborts over the
-//     last sampling window exceeds AdmissionConfig.StormRate. A storm means
-//     attempts are being killed faster than they commit; admitting more
-//     traffic adds fuel.
+//   - Abort storm: the last Tuner epoch's rate of conflict + spurious aborts
+//     reached the live storm threshold. A storm means attempts are being
+//     killed faster than they commit; admitting more traffic adds fuel.
+//
+// The Governor keeps no clock and reads no heap counters of its own: the
+// store's Tuner samples the heap once per epoch for both the fallback-mode
+// controller and this observer.
 
-// AdmissionConfig tunes the Governor. The zero value selects the defaults.
-type AdmissionConfig struct {
-	// Window is the abort-rate sampling cadence. Default 100ms.
-	Window time.Duration
-	// StormRate is the windowed (conflict+spurious)/starts ratio at or above
-	// which requests are shed. Default 0.85. With an adaptive store
-	// (Config.Adaptive) this is only the starting point: the Governor tracks
-	// the heap's epoch abort mix and moves the threshold a fixed margin above
-	// the workload's running-average abort rate (see TrackAbortMix), so a
-	// workload that is normally contended is not permanently "storming" and a
-	// normally calm one sheds at the first sign of trouble.
-	StormRate float64
-	// MinStarts is the minimum transaction attempts a window must contain for
-	// its rate to be meaningful; quieter windows clear the storm flag.
-	// Default 64.
-	MinStarts uint64
-	// RetryAfter is the Retry-After header value, in seconds, on shed
-	// responses. Default 1.
-	RetryAfter int
-	// Now overrides the sampling clock (unix nanoseconds); tests. Defaults to
-	// time.Now-based.
-	Now func() int64
-}
-
-func (c AdmissionConfig) withDefaults() AdmissionConfig {
-	if c.Window <= 0 {
-		c.Window = 100 * time.Millisecond
-	}
-	if c.StormRate <= 0 {
-		c.StormRate = 0.85
-	}
-	if c.MinStarts == 0 {
-		c.MinStarts = 64
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = 1
-	}
-	if c.Now == nil {
-		c.Now = func() int64 { return time.Now().UnixNano() }
-	}
-	return c
-}
+// Admission constants.
+const (
+	// StormMinStarts is the minimum transaction attempts an epoch must
+	// contain for its abort rate to be evidence; quieter epochs clear the
+	// storm flag.
+	StormMinStarts = 64
+	// initialStormRate is the shed threshold before the first epoch with
+	// traffic moves it (see TrackAbortMix).
+	initialStormRate = 0.85
+	// retryAfterSeconds is the base Retry-After hint on shed responses.
+	retryAfterSeconds = 1
+)
 
 // Governor decides request admission for a Store. It is safe for concurrent
-// use; the abort-rate sample is time-gated by a CAS so at most one request
-// per window pays for the stats snapshot.
+// use: Allow reads two flags, and the storm flag is written only by the
+// store's Tuner goroutine.
 type Governor struct {
 	store *Store
-	cfg   AdmissionConfig
 
-	nextSample atomic.Int64
-	lastStarts atomic.Uint64
-	lastAborts atomic.Uint64
-	storm      atomic.Bool
-	sheds      atomic.Uint64
+	storm atomic.Bool
+	sheds atomic.Uint64
 
-	// stormRate is the live shed threshold (float64 bits): cfg.StormRate
+	// stormRate is the live shed threshold (float64 bits): initialStormRate
 	// until TrackAbortMix moves it. ewma is the tracked abort-mix average,
 	// written only by the Tuner goroutine; retrySeq steps the Retry-After
 	// jitter.
@@ -90,21 +56,17 @@ type Governor struct {
 	retrySeq  atomic.Uint64
 }
 
-// NewGovernor builds a Governor over s.
-func NewGovernor(s *Store, cfg AdmissionConfig) *Governor {
-	g := &Governor{store: s, cfg: cfg.withDefaults()}
-	g.stormRate.Store(math.Float64bits(g.cfg.StormRate))
+// NewGovernor builds a Governor over s and subscribes it to s's Tuner.
+func NewGovernor(s *Store) *Governor {
+	g := &Governor{store: s}
+	g.stormRate.Store(math.Float64bits(initialStormRate))
+	s.Tuner().Observe(g.TrackAbortMix)
 	return g
 }
 
 // Allow reports whether a new request should be admitted.
 func (g *Governor) Allow() bool {
-	g.maybeSample()
-	if g.store.InFlight() >= g.store.PoolSize() {
-		g.sheds.Add(1)
-		return false
-	}
-	if g.storm.Load() {
+	if g.store.InFlight() >= g.store.PoolSize() || g.storm.Load() {
 		g.sheds.Add(1)
 		return false
 	}
@@ -112,14 +74,13 @@ func (g *Governor) Allow() bool {
 }
 
 // RetryAfterSeconds is the backoff hint attached to shed responses: jittered
-// per call over [RetryAfter, 2·RetryAfter] so that a thundering herd shed in
-// one window does not return in lockstep and re-trigger the shed that sent it
-// away. The jitter is a counter sweep, not a PRNG — adjacent shed responses
-// get different hints deterministically, which keeps chaos-harness runs
+// per call over [1, 2] seconds so that a thundering herd shed in one epoch
+// does not return in lockstep and re-trigger the shed that sent it away. The
+// jitter is a counter sweep, not a PRNG — adjacent shed responses get
+// different hints deterministically, which keeps chaos-harness runs
 // reproducible.
 func (g *Governor) RetryAfterSeconds() int {
-	base := g.cfg.RetryAfter
-	return base + int(g.retrySeq.Add(1)%uint64(base+1))
+	return retryAfterSeconds + int(g.retrySeq.Add(1)%(retryAfterSeconds+1))
 }
 
 // StormRate returns the live shed threshold (diagnostics, /stats).
@@ -138,73 +99,33 @@ func (g *Governor) SetStormRate(r float64) {
 }
 
 // abortMixMargin is how far above the workload's running-average abort rate
-// the adaptive shed threshold sits: far enough that the normal mix never
-// sheds, close enough that a genuine storm crosses it within a window or two.
+// the shed threshold sits: far enough that the normal mix never sheds, close
+// enough that a genuine storm crosses it within an epoch or two.
 const abortMixMargin = 0.25
 
-// TrackAbortMix is the Governor's Tuner-client hook (htm.Tuner.Observe): each
-// epoch folds the heap's abort rate into an exponentially-weighted average
-// and re-derives the shed threshold as that average plus a fixed margin. A
-// static-threshold governor declares a permanently contended workload to be
-// in permanent storm (or never notices trouble on a calm one); tracking the
-// mix makes "storm" mean "worse than this workload's normal", which is the
-// signal admission control actually wants. Idle epochs carry no evidence and
-// leave the average untouched.
+// TrackAbortMix is the Governor's Tuner-observer hook (htm.Tuner.Observe).
+// Each epoch with traffic folds the heap's abort rate into an
+// exponentially-weighted average and re-derives the shed threshold as that
+// average plus a fixed margin; a static threshold would declare a
+// permanently contended workload to be in permanent storm (or never notice
+// trouble on a calm one), while tracking the mix makes "storm" mean "worse
+// than this workload's normal". The epoch is then judged against the moved
+// threshold: it is a storm when it carries at least StormMinStarts attempts
+// and its (Conflicts+Spurious)/Starts reaches the threshold. Idle epochs
+// leave the average alone and clear the flag.
 func (g *Governor) TrackAbortMix(e htm.TunerEpoch) {
-	if e.Starts == 0 {
-		return
+	if e.Starts > 0 {
+		prev := math.Float64frombits(g.ewma.Load())
+		next := 0.8*prev + 0.2*e.AbortRate
+		g.ewma.Store(math.Float64bits(next))
+		g.SetStormRate(next + abortMixMargin)
 	}
-	prev := math.Float64frombits(g.ewma.Load())
-	next := 0.8*prev + 0.2*e.AbortRate
-	g.ewma.Store(math.Float64bits(next))
-	g.SetStormRate(next + abortMixMargin)
+	g.storm.Store(e.Starts >= StormMinStarts &&
+		float64(e.Conflicts+e.Spurious) >= g.StormRate()*float64(e.Starts))
 }
 
 // Sheds returns the cumulative count of refused admissions.
 func (g *Governor) Sheds() uint64 { return g.sheds.Load() }
 
 // Storming reports the current abort-storm flag (diagnostics, /stats).
-func (g *Governor) Storming() bool {
-	g.maybeSample()
-	return g.storm.Load()
-}
-
-// maybeSample refreshes the windowed abort rate if the window has elapsed.
-// The CAS elects one sampler; losers use the flag as-is.
-func (g *Governor) maybeSample() {
-	now := g.cfg.Now()
-	next := g.nextSample.Load()
-	if now < next || !g.nextSample.CompareAndSwap(next, now+int64(g.cfg.Window)) {
-		return
-	}
-	st := g.store.Heap().Stats()
-	aborts := st.Aborts[htm.AbortConflict] + st.Aborts[htm.AbortSpurious]
-	ds := st.Starts - g.lastStarts.Swap(st.Starts)
-	da := aborts - g.lastAborts.Swap(aborts)
-	g.storm.Store(ds >= g.cfg.MinStarts && float64(da) >= g.StormRate()*float64(ds))
-}
-
-// WithAdmission sheds requests the governor refuses with 503 + Retry-After.
-// Health and stats stay exempt: an operator diagnosing an overloaded server
-// needs exactly those two endpoints to keep answering. The Retry-After value
-// is computed per response — it jitters (see RetryAfterSeconds).
-func WithAdmission(g *Governor, m *Metrics) Middleware {
-	return func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			switch r.URL.Path {
-			case "/healthz", "/stats":
-				next.ServeHTTP(w, r)
-				return
-			}
-			if !g.Allow() {
-				if m != nil {
-					m.Sheds.Add(1)
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(g.RetryAfterSeconds()))
-				http.Error(w, "overloaded: retry later", http.StatusServiceUnavailable)
-				return
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
-}
+func (g *Governor) Storming() bool { return g.storm.Load() }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,7 +14,7 @@ import (
 // TestDeadlineAlreadyExpired hits the earliest abandon point: a dead context
 // never reaches the engine, and the typed error surfaces from every op.
 func TestDeadlineAlreadyExpired(t *testing.T) {
-	s := NewStore(Config{Slots: 64, PoolThreads: 1})
+	s := newTestStore(t, Config{Slots: 64, PoolThreads: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := s.Put(ctx, []byte("k"), []byte("v"), 0); !errors.Is(err, ErrDeadline) {
@@ -46,7 +45,7 @@ func TestDeadlineAlreadyExpired(t *testing.T) {
 // injection with no TLE escape hatch would retry forever, so only the
 // context's expiry lets the operation return — with ErrDeadline, uncommitted.
 func TestDeadlineMidRetry(t *testing.T) {
-	s := NewStore(Config{
+	s := newTestStore(t, Config{
 		Slots:       64,
 		PoolThreads: 1,
 		MaxRetries:  1 << 30,                               // fallback out of reach: only the deadline ends the loop
@@ -76,21 +75,17 @@ func (s *Store) heapBaseline() uint64 {
 	return uint64(s.cfg.Slots + dirWords)
 }
 
-// TestGovernorStormDetection drives the sampling window with a fake clock and
-// real injected abort traffic.
+// TestGovernorStormDetection drives Tuner epochs by hand over real injected
+// abort traffic: a storm epoch sheds, the next quiet epoch readmits.
 func TestGovernorStormDetection(t *testing.T) {
-	s := NewStore(Config{
+	s := newTestStore(t, Config{
 		Slots:       64,
 		PoolThreads: 2,
 		Faults:      &htm.FaultPlan{Seed: 3, BeginProb: 1, MaxPerOp: 200}, // ~200 spurious aborts per op
 	})
-	var now atomic.Int64
-	g := NewGovernor(s, AdmissionConfig{
-		Window:    time.Millisecond,
-		StormRate: 0.5,
-		MinStarts: 10,
-		Now:       now.Load,
-	})
+	tu := s.Tuner()
+	tu.Stop() // epochs are ticked by hand below
+	g := NewGovernor(s)
 	if !g.Allow() {
 		t.Fatal("fresh governor must admit")
 	}
@@ -100,15 +95,15 @@ func TestGovernorStormDetection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	now.Add(int64(2 * time.Millisecond)) // roll the window: next Allow samples
+	tu.Tick()
 	if g.Allow() {
 		t.Fatal("governor admitted during an abort storm")
 	}
 	if g.Sheds() == 0 {
 		t.Error("refused admission not counted")
 	}
-	// Quiet window: no new attempts → rate resets → admission resumes.
-	now.Add(int64(2 * time.Millisecond))
+	// Quiet epoch: no new attempts → the flag clears → admission resumes.
+	tu.Tick()
 	if !g.Allow() {
 		t.Fatal("governor still shedding after the storm passed")
 	}
@@ -116,8 +111,8 @@ func TestGovernorStormDetection(t *testing.T) {
 
 // TestGovernorSaturation checks the pool-occupancy signal directly.
 func TestGovernorSaturation(t *testing.T) {
-	s := NewStore(Config{Slots: 64, PoolThreads: 1})
-	g := NewGovernor(s, AdmissionConfig{})
+	s := newTestStore(t, Config{Slots: 64, PoolThreads: 1})
+	g := NewGovernor(s)
 	release := make(chan struct{})
 	started := make(chan struct{})
 	go s.withThread(func(th *htm.Thread) { close(started); <-release })
@@ -138,24 +133,25 @@ func TestGovernorSaturation(t *testing.T) {
 	}
 }
 
-// TestAdmissionMiddleware checks the HTTP contract: shed requests answer 503
-// with Retry-After and count into Metrics.Sheds, while /healthz and /stats
-// stay reachable.
+// TestAdmissionMiddleware checks the HTTP contract under a real storm epoch:
+// shed requests answer 503 with Retry-After and count into Metrics.Sheds and
+// the 5xx total, while /healthz and /stats stay reachable.
 func TestAdmissionMiddleware(t *testing.T) {
-	store := NewStore(Config{Slots: 256})
-	var now atomic.Int64
-	sv := NewServer(store, WithAdmissionControl(AdmissionConfig{Now: now.Load}))
+	store := newTestStore(t, Config{
+		Slots:  256,
+		Faults: &htm.FaultPlan{Seed: 3, BeginProb: 1, MaxPerOp: 100}, // ~100 spurious aborts per op
+	})
+	tu := store.Tuner()
+	tu.Stop() // epochs are ticked by hand below
+	sv := NewServer(store, WithAdmissionControl())
 	ts := httptest.NewServer(sv)
 	defer ts.Close()
 
-	// Normal operation admits.
+	// No epoch has judged the traffic yet: admitted.
 	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/kv/a", []byte("1")); resp.StatusCode != 204 {
-		t.Fatalf("PUT while healthy: %d", resp.StatusCode)
+		t.Fatalf("PUT before any storm epoch: %d", resp.StatusCode)
 	}
-	// Force the storm flag directly: the governor's signal sources have their
-	// own tests; here only the middleware contract is at stake.
-	sv.governor.storm.Store(true)
-	sv.governor.nextSample.Store(1 << 62) // freeze sampling
+	tu.Tick() // that PUT's own killed attempts are the storm
 	resp, _ := doReq(t, http.MethodPut, ts.URL+"/kv/b", []byte("2"))
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("PUT under storm = %d, want 503", resp.StatusCode)
@@ -169,8 +165,12 @@ func TestAdmissionMiddleware(t *testing.T) {
 	if resp, _ := doReq(t, http.MethodGet, ts.URL+"/stats", nil); resp.StatusCode != 200 {
 		t.Errorf("/stats shed: %d", resp.StatusCode)
 	}
-	if sv.Metrics().Sheds.Load() == 0 {
-		t.Error("shed not counted into Metrics.Sheds")
+	m := sv.Metrics().Snapshot()
+	if m.Sheds != 1 {
+		t.Errorf("Metrics.Sheds = %d, want 1", m.Sheds)
+	}
+	if m.Errors5xx != 1 {
+		t.Errorf("Metrics.Errors5xx = %d, want the shed counted as 1", m.Errors5xx)
 	}
 }
 
@@ -178,7 +178,7 @@ func TestAdmissionMiddleware(t *testing.T) {
 // engine that cannot commit in time and checks the 503 + Retry-After mapping
 // plus the deadline_hits counter.
 func TestRequestTimeoutMapsToRetryAfter(t *testing.T) {
-	store := NewStore(Config{
+	store := newTestStore(t, Config{
 		Slots:  64,
 		Faults: &htm.FaultPlan{Seed: 5, BeginProb: 1},
 	})

@@ -27,17 +27,16 @@ type Server struct {
 	store   *Store
 	jobs    JobsConfig
 	metrics Metrics
-	handler http.Handler
+	mux     *http.ServeMux
 	logf    func(format string, args ...any)
 
 	// jobsStats reads the live pipeline's counters; set by Serve once the
 	// pipeline exists, nil before (httptest servers never start one).
 	jobsStats func() JobStats
 
-	// admission/governor implement load shedding when configured with
+	// governor implements load shedding when configured with
 	// WithAdmissionControl; nil means every request is admitted.
-	admission *AdmissionConfig
-	governor  *Governor
+	governor *Governor
 
 	// reqTimeout caps each data request's store operation via a context
 	// deadline (WithRequestTimeout); 0 means requests run unbounded.
@@ -55,10 +54,10 @@ type ServerOption func(*Server)
 func WithJobs(cfg JobsConfig) ServerOption { return func(sv *Server) { sv.jobs = cfg } }
 
 // WithAdmissionControl enables load shedding: requests the Governor refuses
-// (pool saturation, abort storm) are answered 503 + Retry-After without
-// touching the engine. See AdmissionConfig for the knobs.
-func WithAdmissionControl(cfg AdmissionConfig) ServerOption {
-	return func(sv *Server) { sv.admission = &cfg }
+// (pool saturation, an abort storm in the store Tuner's last epoch) are
+// answered 503 + Retry-After without touching the engine.
+func WithAdmissionControl() ServerOption {
+	return func(sv *Server) { sv.governor = NewGovernor(sv.store) }
 }
 
 // WithRequestTimeout bounds every data request's store operation with a
@@ -79,8 +78,9 @@ func WithRequestLog(logf func(format string, args ...any)) ServerOption {
 	}
 }
 
-// NewServer wraps store in the HTTP API with recovery and metrics middleware
-// (plus request logging if enabled).
+// NewServer wraps store in the HTTP API behind the request wrapper (see
+// ServeHTTP): metrics, panic recovery, and admission and request logging
+// when enabled.
 func NewServer(store *Store, opts ...ServerOption) *Server {
 	sv := &Server{store: store, ShutdownGrace: 10 * time.Second}
 	for _, o := range opts {
@@ -96,24 +96,7 @@ func NewServer(store *Store, opts ...ServerOption) *Server {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, "ok\n")
 	})
-	mws := []Middleware{WithMetrics(&sv.metrics)}
-	if sv.admission != nil {
-		// Admission sits inside metrics so shed responses are counted like
-		// any other 5xx, and outside logging/recovery — a shed request never
-		// reaches a handler.
-		sv.governor = NewGovernor(store, *sv.admission)
-		mws = append(mws, WithAdmission(sv.governor, &sv.metrics))
-		if tu := store.Tuner(); tu != nil {
-			// Adaptive store: the governor becomes a Tuner client, tracking
-			// the heap's epoch abort mix instead of a static storm threshold.
-			tu.Observe(sv.governor.TrackAbortMix)
-		}
-	}
-	if sv.logf != nil {
-		mws = append(mws, WithLogging(sv.logf))
-	}
-	mws = append(mws, WithRecovery(&sv.metrics, sv.logf))
-	sv.handler = Chain(mux, mws...)
+	sv.mux = mux
 	return sv
 }
 
@@ -122,11 +105,6 @@ func (sv *Server) Store() *Store { return sv.store }
 
 // Metrics returns the server's HTTP counters.
 func (sv *Server) Metrics() *Metrics { return &sv.metrics }
-
-// ServeHTTP implements http.Handler (httptest and embedding).
-func (sv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	sv.handler.ServeHTTP(w, r)
-}
 
 // Serve runs the HTTP server on ln plus the background job pipeline until
 // ctx is cancelled, then shuts down gracefully: stop accepting, wait out
@@ -142,7 +120,7 @@ func (sv *Server) Serve(ctx context.Context, ln net.Listener) error {
 	}()
 	sv.jobsStats = jobs.Stats // live pipeline counters for /stats
 
-	hs := &http.Server{Handler: sv.handler}
+	hs := &http.Server{Handler: sv}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	select {
@@ -158,10 +136,11 @@ func (sv *Server) Serve(ctx context.Context, ln net.Listener) error {
 	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	// Handlers are drained and the pipeline stops on return: seal the store's
-	// durable state (flush the commit log, write the clean-shutdown marker).
-	// Idempotent and a no-op without durability, so restarting Serve on a
-	// purely in-memory store keeps working.
+	// Handlers are drained and the pipeline stops on return: stop the
+	// store's Tuner and seal its durable state (flush the commit log, write
+	// the clean-shutdown marker). Idempotent, and a closed in-memory store
+	// keeps serving, so restarting Serve on it keeps working (on the fallback
+	// mode the Tuner last chose).
 	if err := sv.store.Close(); err != nil {
 		return fmt.Errorf("kv: close store: %w", err)
 	}
@@ -301,7 +280,7 @@ type statsResponse struct {
 	Jobs      *JobStats       `json:"jobs,omitempty"`
 	HTTP      MetricsSnapshot `json:"http"`
 	Admission map[string]any  `json:"admission,omitempty"`
-	Adaptive  map[string]any  `json:"adaptive,omitempty"`
+	Adaptive  map[string]any  `json:"adaptive"`
 	Wal       map[string]any  `json:"wal,omitempty"`
 }
 
@@ -353,14 +332,11 @@ func (sv *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"storm_rate": sv.governor.StormRate(),
 		}
 	}
-	if tu := sv.store.Tuner(); tu != nil {
-		ts := tu.State()
-		resp.Adaptive = map[string]any{
-			"mode":          ts.Mode.String(),
-			"mode_switches": ts.ModeSwitches,
-			"epochs":        ts.Epochs,
-			"pinned":        ts.Pinned,
-		}
+	ts := sv.store.Tuner().State()
+	resp.Adaptive = map[string]any{
+		"mode":          ts.Mode.String(),
+		"mode_switches": ts.ModeSwitches,
+		"epochs":        ts.Epochs,
 	}
 	if ws, ok := sv.store.WalStats(); ok {
 		resp.Wal = map[string]any{

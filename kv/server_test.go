@@ -21,7 +21,7 @@ import (
 
 func testServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	sv := NewServer(NewStore(Config{Slots: 1024}))
+	sv := NewServer(newTestStore(t, Config{Slots: 1024}))
 	ts := httptest.NewServer(sv)
 	t.Cleanup(ts.Close)
 	return sv, ts
@@ -141,7 +141,7 @@ func TestHTTPScan(t *testing.T) {
 }
 
 func TestHTTPValueTooLargeAndFull(t *testing.T) {
-	sv := NewServer(NewStore(Config{Slots: 16, MaxValueBytes: 64}))
+	sv := NewServer(newTestStore(t, Config{Slots: 16, MaxValueBytes: 64}))
 	ts := httptest.NewServer(sv)
 	defer ts.Close()
 
@@ -233,23 +233,40 @@ func TestStatsHeapCoversHTMStats(t *testing.T) {
 	}
 }
 
+// TestRecoveryMiddleware drives a real heap-arena exhaustion through the
+// Server: the allocator's panic becomes a 503 that is counted as a panic and
+// a 5xx and logged, and the store keeps serving afterwards.
 func TestRecoveryMiddleware(t *testing.T) {
-	var m Metrics
-	var logged bool
-	h := Chain(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		panic("heap exhausted (simulated)")
-	}), WithMetrics(&m), WithRecovery(&m, func(string, ...any) { logged = true }))
-	ts := httptest.NewServer(h)
+	var mu sync.Mutex
+	var logs []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	// The arena holds the index and directory with no room for a 4 KiB entry.
+	sv := NewServer(newTestStore(t, Config{Slots: 64, HeapWords: 512}), WithRequestLog(logf))
+	ts := httptest.NewServer(sv)
 	defer ts.Close()
-	resp, _ := doReq(t, http.MethodGet, ts.URL+"/", nil)
+	resp, _ := doReq(t, http.MethodPut, ts.URL+"/kv/big", bytes.Repeat([]byte("x"), DefaultMaxValueBytes))
 	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("panic -> %d, want 503", resp.StatusCode)
+		t.Fatalf("arena exhaustion -> %d, want 503", resp.StatusCode)
 	}
-	if m.Panics.Load() != 1 || !logged {
-		t.Fatalf("panic not recorded: panics=%d logged=%v", m.Panics.Load(), logged)
+	m := sv.Metrics().Snapshot()
+	if m.Panics != 1 || m.Errors5xx != 1 {
+		t.Fatalf("panic not counted: panics=%d errors_5xx=%d", m.Panics, m.Errors5xx)
 	}
-	if m.Errors5xx.Load() != 1 {
-		t.Fatalf("5xx not counted: %d", m.Errors5xx.Load())
+	mu.Lock()
+	joined := strings.Join(logs, "\n")
+	mu.Unlock()
+	if !strings.Contains(joined, "panic serving PUT /kv/big") || !strings.Contains(joined, "PUT /kv/big -> 503") {
+		t.Errorf("panic and its 503 not logged:\n%s", joined)
+	}
+	if resp, _ := doReq(t, http.MethodPut, ts.URL+"/kv/small", []byte("v")); resp.StatusCode != http.StatusNoContent {
+		t.Errorf("PUT after the panic = %d, want 204", resp.StatusCode)
+	}
+	if resp, body := doReq(t, http.MethodGet, ts.URL+"/kv/small", nil); resp.StatusCode != 200 || string(body) != "v" {
+		t.Errorf("GET after the panic = %d %q", resp.StatusCode, body)
 	}
 }
 
@@ -259,7 +276,7 @@ func TestRecoveryMiddleware(t *testing.T) {
 // torn response), Serve must return nil, and the job pipeline must drain.
 // Run under -race this also proves shutdown has no unsynchronized state.
 func TestGracefulShutdown(t *testing.T) {
-	store := NewStore(Config{Slots: 4096, PoolThreads: 8})
+	store := newTestStore(t, Config{Slots: 4096, PoolThreads: 8})
 	sv := NewServer(store, WithJobs(JobsConfig{Interval: 5 * time.Millisecond, Workers: 2}))
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -395,7 +412,7 @@ func TestGracefulShutdown(t *testing.T) {
 // TestShutdownAbortsIdleKeepalives: Shutdown must not wait out ShutdownGrace
 // when the only connections are idle keepalives.
 func TestShutdownQuickWhenIdle(t *testing.T) {
-	sv := NewServer(NewStore(Config{Slots: 256}))
+	sv := NewServer(newTestStore(t, Config{Slots: 256}))
 	sv.ShutdownGrace = 30 * time.Second // would be noticed if waited out
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -68,9 +68,9 @@ type Store struct {
 	snaps     atomic.Uint64
 	closed    atomic.Bool
 
-	// tuner is the heap's contention controller (Config.Adaptive; nil when
-	// the fallback mode stays at its seeded value). Owned by the store:
-	// started at construction, stopped by Close.
+	// tuner is the heap's contention controller: it steers the fallback mode
+	// and feeds the admission Governor. Owned by the store: started at
+	// construction, stopped by Close.
 	tuner *htm.Tuner
 }
 
@@ -90,7 +90,6 @@ func newStoreCore(cfg Config) *Store {
 	h := htm.NewHeap(htm.Config{
 		Words:           cfg.HeapWords,
 		EnableTLE:       true,
-		GlobalFallback:  cfg.GlobalFallback,
 		AllowAllocInTxn: false, // entries are pre-allocated, Rock-style
 		MaxRetries:      cfg.MaxRetries,
 		Faults:          cfg.Faults,
@@ -101,9 +100,7 @@ func newStoreCore(cfg Config) *Store {
 		pool: make(chan *htm.Thread, cfg.PoolThreads),
 		mask: uint64(cfg.Slots - 1),
 	}
-	if ac := cfg.Adaptive; ac != nil {
-		s.tuner = h.StartTuner(htm.TunerConfig{Pinned: ac.Pinned})
-	}
+	s.tuner = h.StartTuner(htm.TunerConfig{})
 	setup := h.NewThread()
 	s.table = setup.Alloc(cfg.Slots)
 	s.dir = setup.Alloc(dirWords)
@@ -117,8 +114,7 @@ func newStoreCore(cfg Config) *Store {
 // Heap exposes the backing heap (stats endpoint, job pipeline, tests).
 func (s *Store) Heap() *htm.Heap { return s.heap }
 
-// Tuner exposes the store's contention controller, nil when Config.Adaptive
-// is unset.
+// Tuner exposes the store's contention controller.
 func (s *Store) Tuner() *htm.Tuner { return s.tuner }
 
 // Slots returns the index capacity; Scan cursors range over [0, Slots()).

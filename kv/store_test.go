@@ -14,17 +14,26 @@ import (
 // bg is the context every non-deadline test op runs under.
 var bg = context.Background()
 
+// newTestStore builds an in-memory store that the test's cleanup closes,
+// stopping its Tuner goroutine.
+func newTestStore(t testing.TB, cfg Config) *Store {
+	t.Helper()
+	s := NewStore(cfg)
+	t.Cleanup(func() { s.Close() })
+	return s
+}
+
 // testStore builds a small store with a controllable clock.
 func testStore(t *testing.T, cfg Config, now *atomic.Int64) *Store {
 	t.Helper()
 	if now != nil {
 		cfg.Now = now.Load
 	}
-	return NewStore(cfg)
+	return newTestStore(t, cfg)
 }
 
 func TestPutGetDelete(t *testing.T) {
-	s := NewStore(Config{Slots: 256})
+	s := newTestStore(t, Config{Slots: 256})
 	key := []byte("hello")
 	val := []byte("world, of arbitrary length \x00\xff bytes")
 
@@ -77,7 +86,7 @@ func TestPutGetDelete(t *testing.T) {
 }
 
 func TestEmptyAndOversized(t *testing.T) {
-	s := NewStore(Config{Slots: 64, MaxKeyBytes: 8, MaxValueBytes: 16})
+	s := newTestStore(t, Config{Slots: 64, MaxKeyBytes: 8, MaxValueBytes: 16})
 	if err := s.Put(bg, nil, []byte("v"), 0); !errors.Is(err, ErrEmptyKey) {
 		t.Fatalf("empty key: %v", err)
 	}
@@ -91,7 +100,7 @@ func TestEmptyAndOversized(t *testing.T) {
 
 func TestValueSizesRoundTrip(t *testing.T) {
 	// Cross the word-packing boundaries: 0..17 bytes plus a jumbo value.
-	s := NewStore(Config{Slots: 256})
+	s := newTestStore(t, Config{Slots: 256})
 	for n := 0; n <= 17; n++ {
 		key := []byte(fmt.Sprintf("key-%d", n))
 		val := bytes.Repeat([]byte{byte(n + 1)}, n)
@@ -116,7 +125,7 @@ func TestTombstoneReuseAndProbeThrough(t *testing.T) {
 	// Force a probe cluster, delete in the middle, verify later keys are
 	// still reachable (tombstones keep probes alive) and that a new Put
 	// reuses the tombstone.
-	s := NewStore(Config{Slots: 64})
+	s := newTestStore(t, Config{Slots: 64})
 	keys := make([][]byte, 8)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("cluster-%d", i))
@@ -154,7 +163,7 @@ func TestTombstoneReuseAndProbeThrough(t *testing.T) {
 }
 
 func TestFull(t *testing.T) {
-	s := NewStore(Config{Slots: 16}) // ceiling = 12 entries
+	s := newTestStore(t, Config{Slots: 16}) // ceiling = 12 entries
 	var err error
 	n := 0
 	for ; n < 16; n++ {
@@ -214,7 +223,7 @@ func TestExpiry(t *testing.T) {
 }
 
 func TestCompaction(t *testing.T) {
-	s := NewStore(Config{Slots: 64})
+	s := newTestStore(t, Config{Slots: 64})
 	for i := 0; i < 20; i++ {
 		if err := s.Put(bg, []byte(fmt.Sprintf("k%d", i)), []byte("v"), 0); err != nil {
 			t.Fatal(err)
@@ -251,7 +260,7 @@ func TestCompaction(t *testing.T) {
 func TestCompactionKeepsProbeChains(t *testing.T) {
 	// A tombstone in the MIDDLE of a live cluster must survive compaction,
 	// and the keys behind it must stay reachable afterward.
-	s := NewStore(Config{Slots: 64})
+	s := newTestStore(t, Config{Slots: 64})
 	for i := 0; i < 10; i++ {
 		if err := s.Put(bg, []byte(fmt.Sprintf("c%d", i)), []byte{byte(i)}, 0); err != nil {
 			t.Fatal(err)
@@ -272,7 +281,7 @@ func TestCompactionKeepsProbeChains(t *testing.T) {
 }
 
 func TestScan(t *testing.T) {
-	s := NewStore(Config{Slots: 256})
+	s := newTestStore(t, Config{Slots: 256})
 	want := map[string]string{}
 	for i := 0; i < 40; i++ {
 		k, v := fmt.Sprintf("scan-%02d", i), fmt.Sprintf("val-%d", i)
@@ -315,7 +324,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	// Hammer one store from many goroutines; -race is the real assertion,
 	// plus per-key value integrity: each key's value always carries the
 	// key's own tag, so a torn read or lost update surfaces as a mismatch.
-	s := NewStore(Config{Slots: 1 << 10, PoolThreads: 8})
+	s := newTestStore(t, Config{Slots: 1 << 10, PoolThreads: 8})
 	const (
 		goroutines = 8
 		keys       = 64
@@ -389,7 +398,7 @@ func TestConcurrentSameKey(t *testing.T) {
 	// entry while concurrent Gets race the free — the sandboxing story. A
 	// torn or use-after-free read would return a value none of the writers
 	// wrote.
-	s := NewStore(Config{Slots: 64, PoolThreads: 8})
+	s := newTestStore(t, Config{Slots: 64, PoolThreads: 8})
 	key := []byte("contended")
 	legal := func(v []byte) bool {
 		return len(v) == 8 && string(v[:7]) == "writer-"
@@ -425,7 +434,7 @@ func TestConcurrentSameKey(t *testing.T) {
 func TestHeapReclamation(t *testing.T) {
 	// Put/Delete churn must not grow live heap usage: every displaced or
 	// deleted entry is freed on commit.
-	s := NewStore(Config{Slots: 256})
+	s := newTestStore(t, Config{Slots: 256})
 	val := bytes.Repeat([]byte("x"), 64)
 	for i := 0; i < 50; i++ {
 		if err := s.Put(bg, []byte("churn"), val, 0); err != nil {
@@ -451,7 +460,7 @@ func TestHeapReclamation(t *testing.T) {
 }
 
 func TestExpiryUsesRealClockByDefault(t *testing.T) {
-	s := NewStore(Config{Slots: 64})
+	s := newTestStore(t, Config{Slots: 64})
 	if err := s.Put(bg, []byte("blink"), []byte("v"), time.Millisecond); err != nil {
 		t.Fatal(err)
 	}

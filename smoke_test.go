@@ -11,6 +11,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,12 +41,34 @@ func discoverPackages(t *testing.T, roots ...string) []string {
 	return pkgs
 }
 
+// newestSnapshot returns the highest-numbered committed BENCH_PR<N>.json —
+// the snapshot the next one is measured against.
+func newestSnapshot(t *testing.T) string {
+	t.Helper()
+	paths, err := filepath.Glob("BENCH_PR*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	newest, newestN := "", -1
+	for _, p := range paths {
+		n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(p, "BENCH_PR"), ".json"))
+		if err == nil && n > newestN {
+			newest, newestN = p, n
+		}
+	}
+	if newest == "" {
+		t.Fatal("no committed BENCH_PR<N>.json snapshot")
+	}
+	return newest
+}
+
 func TestSmokeExamplesAndCommands(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every demo binary")
 	}
 	tmp := t.TempDir()
 	collectJSON := filepath.Join(tmp, "collect.json")
+	newest := newestSnapshot(t)
 
 	// Per-binary invocation overrides. Anything not listed here runs with
 	// -help: flag's ExitOnError usage path exits 0 and prints the flag set, so
@@ -63,18 +87,17 @@ func TestSmokeExamplesAndCommands(t *testing.T) {
 		"./cmd/kvload":           {"-help"},
 		// A real (tiny) chaos run: deterministic shadow-model phase plus the
 		// overload sweep, exit 0 = model, sweep and determinism checks passed.
-		// Runs with a pinned (observe-only) tuner so the determinism contract
-		// is exercised with the tuner's sampling goroutine live on every test
-		// invocation (CI also runs it without, and runs both same-seed pairs
-		// under -race).
-		"./cmd/chaoskv": {"-seed", "1", "-ops", "300", "-duration", "30ms", "-clients", "4", "-adapt-pinned"},
+		// The store's tuner samples live throughout, so the determinism
+		// contract is exercised with its goroutine running (CI runs a
+		// same-seed pair under -race).
+		"./cmd/chaoskv": {"-seed", "1", "-ops", "300", "-duration", "30ms", "-clients", "4"},
 		// A real (tiny) crash run: two SIGKILL/restart cycles plus the torn
 		// and mid-log phases against a real kvserver process; exit 0 = zero
 		// acknowledged-write loss and the refuse-to-start contract held.
 		"./cmd/crashkv": {"-quick", "-seed", "1", "-cycles", "2", "-clients", "2", "-keys", "8"},
-		// Self-diff of the committed snapshot: must exit 0 (no regressions,
-		// no shrunken coverage).
-		"./cmd/benchtrend": {"-fail-shrunk", "BENCH_PR13.json", "BENCH_PR13.json"},
+		// Self-diff of the newest committed snapshot: must exit 0 (no
+		// regressions, no shrunken coverage).
+		"./cmd/benchtrend": {"-fail-shrunk", newest, newest},
 	}
 
 	pkgs := discoverPackages(t, "cmd", "examples")
